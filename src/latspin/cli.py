@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import dynamics, lagrangian
-from .fields import ReducedState, advect_exact, cov_diff, cov_div, curvature, gauge_act
+from .fields import ReducedState, cov_diff, cov_div, gauge_act
 from .lattice import (
     AlgebraField,
     ConnectionForm,
@@ -55,8 +56,22 @@ def _need(cfg, key):
     return node
 
 
+def _number(key, value, kind=float):
+    """A finite JSON number as float, or a whole one as int; else ConfigError."""
+    try:
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and (kind is float or value == int(value)))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(key, f"must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _field_cfg(cfg, key, allowed_profiles):
     node = _need(cfg, key)
+    if not isinstance(node, dict):
+        raise ConfigError(key, "must be an object")
     profile = node.get("profile")
     if profile not in allowed_profiles:
         raise ConfigError(f"{key}.profile", f"must be one of {sorted(allowed_profiles)}")
@@ -65,9 +80,9 @@ def _field_cfg(cfg, key, allowed_profiles):
         for sub in ("modes", "amplitude", "seed"):
             if sub not in node:
                 raise ConfigError(f"{key}.{sub}", "missing")
-        out["modes"] = int(node["modes"])
-        out["amplitude"] = float(node["amplitude"])
-        out["seed"] = int(node["seed"])
+        out["modes"] = _number(f"{key}.modes", node["modes"], int)
+        out["amplitude"] = _number(f"{key}.amplitude", node["amplitude"])
+        out["seed"] = _number(f"{key}.seed", node["seed"], int)
     return out
 
 
@@ -75,13 +90,15 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
     """Validate a config document and expand profiles into concrete fields."""
     sizes = _need(cfg, "grid.sizes")
     spacing = _need(cfg, "grid.spacing")
-    dim = int(_need(cfg, "grid.dim"))
+    dim = _number("grid.dim", _need(cfg, "grid.dim"), int)
     if not isinstance(sizes, list) or len(sizes) != dim:
         raise ConfigError("grid.sizes", f"must list {dim} entries")
     if not isinstance(spacing, list) or len(spacing) != dim:
         raise ConfigError("grid.spacing", f"must list {dim} entries")
+    sizes = tuple(_number("grid.sizes", n, int) for n in sizes)
+    spacing = tuple(_number("grid.spacing", h) for h in spacing)
     try:
-        grid = Grid(tuple(sizes), tuple(spacing))
+        grid = Grid(sizes, spacing)
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from None
 
@@ -92,21 +109,26 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
         raise ConfigError("group", str(exc)) from None
 
     spec_name = _need(cfg, "lagrangian")
+    if not isinstance(spec_name, str):
+        raise ConfigError("lagrangian", "must be a string")
     try:
         spec = lagrangian.get_spec(spec_name)
     except KeyError as exc:
         raise ConfigError("lagrangian", str(exc)) from None
 
-    nu_cfg = _field_cfg(cfg, "init.nu", {"zero", "fourier"})
-    gamma_cfg = _field_cfg(cfg, "gamma0", {"zero", "fourier", "pure_gauge"})
+    nu_cfg = _field_cfg(cfg, "init.nu", ("zero", "fourier"))
+    gamma_cfg = _field_cfg(cfg, "gamma0", ("zero", "fourier", "pure_gauge"))
 
-    dt = float(_need(cfg, "time.dt"))
-    steps = int(_need(cfg, "time.steps"))
+    dt = _number("time.dt", _need(cfg, "time.dt"))
+    steps = _number("time.steps", _need(cfg, "time.steps"), int)
     if dt <= 0:
         raise ConfigError("time.dt", "must be positive")
     if steps < 0:
         raise ConfigError("time.steps", "must be non-negative")
-    cadence = int(cfg.get("output", {}).get("cadence", 1))
+    output = cfg.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output", "must be an object")
+    cadence = _number("output.cadence", output.get("cadence", 1), int)
     if cadence < 1:
         raise ConfigError("output.cadence", "must be at least 1")
 
@@ -158,61 +180,15 @@ def _sample_steps(steps, cadence):
 def trajectory_rows(spec, traj, cadence):
     """Per-cadence monitor rows; endpoints use one-sided time differences."""
     rows = []
-    steps = traj.steps
-    for n in _sample_steps(steps, cadence):
-        s = traj.states[n]
-        row = {
-            "t": traj.times[n],
-            "l_value": lagrangian.reduced_l(spec, traj.times[n], s),
-            "energy": dynamics.energy(spec, traj.times[n], s),
-        }
-        if 1 <= n <= steps - 1:
-            mon = dynamics.compatibility_monitor(traj, n)
-            cov = dynamics.covariant_residual(spec, traj, n).max_norm()
-        else:
-            mon = _one_sided_monitor(spec, traj, n)
-            cov = mon.pop("covariant_residual")
-        row.update(
-            advection_residual=mon["advection_residual"],
-            curvature_max=mon["curvature_max"],
-            covariant_residual=cov,
-            exact_advect_gap=mon["exact_advect_gap"],
-        )
-        rows.append(row)
+    for n in _sample_steps(traj.steps, cadence):
+        t, s = traj.times[n], traj.states[n]
+        rows.append({
+            "t": t,
+            "l_value": lagrangian.reduced_l(spec, t, s),
+            "energy": dynamics.energy(spec, t, s),
+            **dynamics.monitor_row(spec, traj, n),
+        })
     return rows
-
-
-def _one_sided_monitor(spec, traj, n):
-    """First-order endpoint variants of the centered-difference monitors."""
-    dt = traj.dt if traj.steps > 0 else 1.0
-    s = traj.states[n]
-    m_here = lagrangian.delta_l_delta_nu(spec, traj.times[n], s).values
-    other = traj.states[min(n + 1, traj.steps)] if n == 0 else traj.states[n - 1]
-    sign = 1.0 if n == 0 else -1.0
-    if traj.steps > 0:
-        dgamma = sign * (other.gamma.comps - s.gamma.comps) / dt
-        m_other = lagrangian.delta_l_delta_nu(spec, other.t, other).values
-        dm = sign * (m_other - m_here) / dt
-    else:
-        dgamma = np.zeros_like(s.gamma.comps)
-        dm = np.zeros_like(s.nu.values)
-    adv = dgamma + cov_diff(s.gamma, s.nu).comps
-    w = lagrangian.delta_l_delta_gamma(spec, traj.times[n], s)
-    sig2 = -s.gamma.comps
-    res = dm + div_dual(DualVectorField(s.grid, s.group, -w.comps)).values
-    res += np.sum(s.group.ad_star_arr(sig2, -w.comps), axis=0)
-    res += s.group.ad_star_arr(s.nu.values, m_here)
-    curv = curvature(s.gamma)
-    gap = 0.0
-    if traj.group_path is not None:
-        closed = advect_exact(traj.group_path[n], traj.gamma0)
-        gap = float(np.max(np.linalg.norm(s.gamma.comps - closed.comps, axis=-1)))
-    return {
-        "advection_residual": float(np.max(np.linalg.norm(adv, axis=-1))),
-        "curvature_max": float(np.max(np.linalg.norm(curv, axis=-1))),
-        "covariant_residual": float(np.max(np.linalg.norm(res, axis=-1))),
-        "exact_advect_gap": gap,
-    }
 
 
 def write_series(path, rows):

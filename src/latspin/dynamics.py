@@ -12,6 +12,10 @@ by the two middle-stage velocities (second-order accurate overall, exact
 group membership). Residual monitors evaluate the covariant form of the
 equations, the discrete-action stationarity, the advection equation, the
 closed-form advection solution, and the curvature.
+
+monitor_row gives the four series monitors at any step. Its time differences
+are centred at interior steps and one-sided at the first and last steps, from
+the same code that covariant_residual and compatibility_monitor use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .fields import (
     advect_exact,
     cov_diff,
     cov_div,
-    curvature,
+    curvature_max,
     gauge_act,
     jet_from_state,
     reconstruct_step,
@@ -66,6 +70,7 @@ __all__ = [
     "covariant_residual_max",
     "variational_residual",
     "compatibility_monitor",
+    "monitor_row",
 ]
 
 RECONSTRUCTION_SAFETY = 0.1
@@ -308,6 +313,18 @@ def energy(spec: DensitySpec, t: float, s: ReducedState) -> float:
 # -- covariant residual ----------------------------------------------------------
 
 
+def _time_difference(traj: Trajectory, n: int, at) -> np.ndarray:
+    """Time derivative of at(k) at step n: centred inside, one-sided at the ends.
+
+    The stencil spans steps max(n-1, 0) to min(n+1, steps); a trajectory with
+    no steps has no time difference and reads zero.
+    """
+    lo, hi = max(n - 1, 0), min(n + 1, traj.steps)
+    if lo == hi:
+        return np.zeros_like(at(n))
+    return (at(hi) - at(lo)) / ((hi - lo) * traj.dt)
+
+
 def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
                        abar: ConnectionForm | None = None) -> DualField:
     """Residual of the covariant form of the field equations at interior step n.
@@ -325,21 +342,17 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     """
     if n < 1 or n > traj.steps - 1:
         raise IndexError(f"step {n} has no centered time difference")
-    dt = traj.dt
+    return _covariant_residual(spec, traj, n, abar)
+
+
+def _covariant_residual(spec, traj, n, abar=None) -> DualField:
+    """covariant_residual at any step 0 <= n <= steps (see _time_difference)."""
     group = traj.group
-
-    def fiber_derivs(k):
-        s = traj.states[k]
-        jet = jet_from_state(s)
-        m = spec.d_sigma1(traj.times[k], jet.sigma1.values, jet.sigma2.comps)
-        w = spec.d_sigma2(traj.times[k], jet.sigma1.values, jet.sigma2.comps)
-        return jet, m, w
-
-    jet, m_now, w_now = fiber_derivs(n)
-    _, m_next, _ = fiber_derivs(n + 1)
-    _, m_prev, _ = fiber_derivs(n - 1)
-
-    res = (m_next - m_prev) / (2.0 * dt)
+    jet = jet_from_state(traj.states[n])
+    point = (traj.times[n], jet.sigma1.values, jet.sigma2.comps)
+    m_now, w_now = spec.d_sigma1(*point), spec.d_sigma2(*point)
+    res = _time_difference(traj, n, lambda k: spec.d_sigma1(
+        traj.times[k], traj.states[k].nu.values, -traj.states[k].gamma.comps))
     w_field = DualVectorField(traj.grid, group, np.asarray(w_now, float))
     if abar is None:
         res = res + div_dual(w_field).values
@@ -436,13 +449,15 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     """
     if n < 1 or n > traj.steps - 1:
         raise IndexError(f"step {n} has no centered time difference")
-    dt = traj.dt
+    return _compatibility(traj, n)
+
+
+def _compatibility(traj, n) -> dict:
+    """compatibility_monitor at any step 0 <= n <= steps (see _time_difference)."""
     s = traj.states[n]
-    dgamma = (traj.states[n + 1].gamma.comps - traj.states[n - 1].gamma.comps) / (2 * dt)
+    dgamma = _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
     adv = dgamma + cov_diff(s.gamma, s.nu).comps
     advection_residual = float(np.max(np.linalg.norm(adv, axis=-1), initial=0.0))
-    curv = curvature(s.gamma)
-    curv_max = float(np.max(np.linalg.norm(curv, axis=-1), initial=0.0))
     gap = np.nan
     if traj.group_path is not None:
         closed = advect_exact(traj.group_path[n], traj.gamma0)
@@ -451,6 +466,21 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
         )
     return {
         "advection_residual": advection_residual,
-        "curvature_max": curv_max,
+        "curvature_max": curvature_max(s.gamma),
         "exact_advect_gap": gap,
     }
+
+
+def monitor_row(spec: DensitySpec, traj: Trajectory, n: int) -> dict:
+    """The four series monitors at any step 0 <= n <= steps.
+
+    Interior steps give exactly compatibility_monitor and the max norm of
+    covariant_residual; the first and last steps evaluate the same formulas
+    with one-sided time differences.
+    """
+    if n < 0 or n > traj.steps:
+        raise IndexError(f"step {n} outside the trajectory")
+    row = _compatibility(traj, n)
+    gap = row.pop("exact_advect_gap")
+    cov = _covariant_residual(spec, traj, n).max_norm()
+    return {**row, "covariant_residual": cov, "exact_advect_gap": gap}

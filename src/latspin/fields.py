@@ -20,6 +20,7 @@ from .lattice import (
     DualVectorField,
     GroupField,
     GridMismatchError,
+    _check_same_grid,
     cdiff_array,
     d_alg,
     div_dual,
@@ -82,14 +83,9 @@ class ReducedJet:
             raise GridMismatchError("sigma1 and sigma2 live on different grids")
 
 
-def _same_grid(a, b):
-    if a.grid != b.grid or a.group is not b.group:
-        raise GridMismatchError("fields live on different grids or groups")
-
-
 def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
     """Affine gauge action: Ad(Lambda^-1) gamma_i + proj(Lambda^-1 D_i Lambda)."""
-    _same_grid(lam, gamma)
+    _check_same_grid(lam, gamma)
     group = lam.group
     inv = group.inverse_arr(lam.values)
     comps = np.empty_like(gamma.comps)
@@ -102,7 +98,7 @@ def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
 
 def cov_diff(gamma: ConnectionForm, zeta: AlgebraField) -> ConnectionForm:
     """Covariant differential d zeta + [gamma_i, zeta] per axis."""
-    _same_grid(gamma, zeta)
+    _check_same_grid(gamma, zeta)
     out = d_alg(zeta)
     out.comps += gamma.group.bracket_arr(gamma.comps, zeta.values[None])
     return out
@@ -113,7 +109,7 @@ def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
 
     Exactly the negative L2 adjoint of cov_diff for the same gamma.
     """
-    _same_grid(gamma, w)
+    _check_same_grid(gamma, w)
     out = div_dual(w)
     out.values -= np.sum(gamma.group.ad_star_arr(gamma.comps, w.comps), axis=0)
     return out
@@ -146,13 +142,13 @@ def curvature_max(gamma: ConnectionForm) -> float:
 
 def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:
     """Closed-form advected connection theta_{chi^-1}(gamma0)."""
-    _same_grid(chi, gamma0)
+    _check_same_grid(chi, gamma0)
     return gauge_act(chi.inverse(), gamma0)
 
 
 def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float) -> GroupField:
     """Exponential Euler update chi <- exp(dt nu) chi, sitewise."""
-    _same_grid(chi, nu)
+    _check_same_grid(chi, nu)
     angle = dt * nu.max_norm()
     if angle >= RECONSTRUCT_ANGLE_LIMIT:
         raise StepTooLargeError(

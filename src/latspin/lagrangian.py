@@ -30,7 +30,6 @@ __all__ = [
     "DensitySpec",
     "spin_glass_spec",
     "get_spec",
-    "register_spec",
     "available_specs",
     "reduced_l",
     "instantaneous_L",
@@ -131,11 +130,6 @@ def spin_glass_spec() -> DensitySpec:
 _REGISTRY = {"spin_glass": spin_glass_spec}
 
 
-def register_spec(name, factory):
-    """Extension point: register a density factory under a config name."""
-    _REGISTRY[name] = factory
-
-
 def available_specs():
     return sorted(_REGISTRY)
 
@@ -180,9 +174,8 @@ def instantaneous_L(spec: DensitySpec, t: float, chi: GroupField,
         raise GridMismatchError("chi, nu' and gamma live on different grids")
     group = chi.group
     beta = right_log_derivative(chi).comps.copy()
-    inv = group.inverse_arr(chi.values)
     for i in range(gamma.grid.dim):
-        beta[i] -= group.to_coeffs(chi.values @ group.hat(gamma.comps[i]) @ inv)
+        beta[i] -= group.ad_arr(chi.values, gamma.comps[i])
     density = spec.value(t, nu_prime.values, beta)
     return integrate(chi.grid, density)
 

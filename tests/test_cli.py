@@ -70,6 +70,20 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
     (lambda c: c["init"]["nu"].update(profile="bogus"), "init.nu.profile"),
     (lambda c: c["init"]["nu"].pop("seed"), "init.nu.seed"),
     (lambda c: c["output"].update(cadence=0), "output.cadence"),
+    pytest.param(lambda c: c["time"].update(dt=float("nan")), "time.dt", id="dt-nan"),
+    pytest.param(lambda c: c["time"].update(dt="abc"), "time.dt", id="dt-string"),
+    pytest.param(lambda c: c["time"].update(dt=None), "time.dt", id="dt-null"),
+    pytest.param(lambda c: c["time"].update(steps=1.7), "time.steps", id="steps-fraction"),
+    pytest.param(lambda c: c["output"].update(cadence="x"), "output.cadence",
+                 id="cadence-string"),
+    pytest.param(lambda c: c["grid"].update(dim="x"), "grid.dim", id="dim-string"),
+    pytest.param(lambda c: c["grid"].update(spacing=[float("nan")]), "grid.spacing",
+                 id="spacing-nan"),
+    pytest.param(lambda c: c["init"]["nu"].update(modes="x"), "init.nu.modes",
+                 id="modes-string"),
+    pytest.param(lambda c: c.update(output=[1]), "output", id="output-list"),
+    pytest.param(lambda c: c.update(gamma0=[1]), "gamma0", id="gamma0-list"),
+    pytest.param(lambda c: c.update(lagrangian=["x"]), "lagrangian", id="lagrangian-list"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))

@@ -12,13 +12,20 @@ from latspin.dynamics import (
     energy,
     fourier_algebra_field,
     fourier_connection,
+    monitor_row,
     pure_gauge_connection,
     rk4_step,
     simulate,
     variational_residual,
 )
-from latspin.fields import ReducedState
-from latspin.lagrangian import spin_glass_spec
+from latspin.fields import (
+    ReducedState,
+    advect_exact,
+    cov_diff,
+    cov_div,
+    curvature_max,
+)
+from latspin.lagrangian import delta_l_delta_gamma, delta_l_delta_nu, spin_glass_spec
 from latspin.lattice import (
     AlgebraField,
     ConnectionForm,
@@ -341,3 +348,53 @@ def test_monitor_index_range(spec, g, grid32):
     traj = simulate(make_cfg(g, grid32, 18, dt=0.01, steps=3))
     with pytest.raises(IndexError):
         compatibility_monitor(traj, 0)
+
+
+# -- series rows -----------------------------------------------------------------------
+
+
+def one_sided_reference(spec, traj, n):
+    """Endpoint monitors in dynamic form from a forward (n = 0) or backward difference."""
+    other = traj.states[1 if n == 0 else n - 1]
+    sign = 1.0 if n == 0 else -1.0
+    s = traj.states[n]
+    m = delta_l_delta_nu(spec, s.t, s).values
+    dm = sign * (delta_l_delta_nu(spec, other.t, other).values - m) / traj.dt
+    dgamma = sign * (other.gamma.comps - s.gamma.comps) / traj.dt
+    w = delta_l_delta_gamma(spec, s.t, s)
+    res = dm - cov_div(s.gamma, w).values + s.group.ad_star_arr(s.nu.values, m)
+    closed = advect_exact(traj.group_path[n], traj.gamma0)
+
+    def max_norm(a):
+        return float(np.max(np.linalg.norm(a, axis=-1)))
+
+    return {
+        "advection_residual": max_norm(dgamma + cov_diff(s.gamma, s.nu).comps),
+        "curvature_max": curvature_max(s.gamma),
+        "covariant_residual": max_norm(res),
+        "exact_advect_gap": max_norm(s.gamma.comps - closed.comps),
+    }
+
+
+def test_monitor_row_endpoints_interior_and_short_runs(spec, g):
+    grid = Grid((8, 8), (0.125, 0.125))
+    traj = simulate(make_cfg(g, grid, 19, dt=0.01, steps=4))
+    for n in (0, traj.steps):
+        row = monitor_row(spec, traj, n)
+        ref = one_sided_reference(spec, traj, n)
+        assert list(row) == list(ref)
+        for key, value in ref.items():
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-15), (n, key)
+        assert row["covariant_residual"] > 0.0
+    for n in range(1, traj.steps):
+        mon = compatibility_monitor(traj, n)
+        assert monitor_row(spec, traj, n) == {
+            "advection_residual": mon["advection_residual"],
+            "curvature_max": mon["curvature_max"],
+            "covariant_residual": covariant_residual(spec, traj, n).max_norm(),
+            "exact_advect_gap": mon["exact_advect_gap"],
+        }
+    for steps in (0, 1, 2):
+        short = simulate(make_cfg(g, grid, 20, dt=0.01, steps=steps))
+        for n in range(steps + 1):
+            assert all(np.isfinite(v) for v in monitor_row(spec, short, n).values())
