@@ -17,6 +17,7 @@ import numpy as np
 from . import dynamics, lagrangian
 from .fields import ReducedState, cov_diff, cov_div, gauge_act
 from .lattice import (
+    MIN_SITES_PER_AXIS,
     AlgebraField,
     ConnectionForm,
     DualVectorField,
@@ -199,6 +200,29 @@ def write_series(path, rows):
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
+def _write_json(fh, obj, chunk=4096):
+    """Write json.dumps(obj) for string-keyed obj without building it whole.
+
+    json.dump streams through the pure-Python encoder; one json.dumps of a
+    64x64 snapshot is about twice as fast but holds the whole document and its
+    number strings at once, which raises peak memory. Here the C encoder
+    writes each long list in chunks, with the same bytes as either.
+    """
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, value, chunk)
+        fh.write("}")
+    elif isinstance(obj, list) and len(obj) > chunk:
+        fh.write("[")
+        for i in range(0, len(obj), chunk):
+            fh.write((", " if i else "") + json.dumps(obj[i:i + chunk])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj))
+
+
 def run_simulate(config_path, outdir) -> int:
     try:
         with open(config_path) as fh:
@@ -233,7 +257,7 @@ def run_simulate(config_path, outdir) -> int:
             "gamma": snapshot(state.gamma),
         }
         with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
-            json.dump(snap, fh)
+            _write_json(fh, snap)
     report = {"config": raw, "status": status, "rows": rows}
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
@@ -389,6 +413,22 @@ def fit_order(hs, residuals):
     return float(slope)
 
 
+def _ladder_sizes(raw):
+    """ladder.sizes: at least 3 distinct whole site counts, each a valid axis."""
+    ladder = raw.get("ladder", {}) if isinstance(raw, dict) else None
+    if not isinstance(ladder, dict):
+        raise ConfigError("ladder", "must be an object")
+    sizes = ladder.get("sizes")
+    if not isinstance(sizes, list) or len(sizes) < 3:
+        raise ConfigError("ladder.sizes", "needs at least 3 levels")
+    sizes = [_number("ladder.sizes", n, int) for n in sizes]
+    if len(set(sizes)) < len(sizes) or min(sizes) < MIN_SITES_PER_AXIS:
+        raise ConfigError(
+            "ladder.sizes", f"needs distinct entries of at least {MIN_SITES_PER_AXIS}"
+        )
+    return sizes
+
+
 def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0):
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
@@ -408,7 +448,11 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         dt = base.dt * base_n / n_sites
         steps = max(2, round(t_final / dt))
         level_cfg["time"] = {"dt": dt, "steps": steps}
-        cfg = parse_config(level_cfg)
+        try:
+            cfg = parse_config(level_cfg)
+        except ConfigError as exc:
+            # the base config parsed, so the level size is at fault
+            raise ConfigError("ladder.sizes", f"level {n_sites}: {exc}") from None
         traj = dynamics.simulate(cfg)
         adv = curvm = gap = 0.0
         for k in range(1, traj.steps):
@@ -452,12 +496,11 @@ def run_convergence(config_path) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    ladder = raw.get("ladder", {})
-    sizes = ladder.get("sizes")
-    if not isinstance(sizes, list) or len(sizes) < 3:
-        print("error: config key 'ladder.sizes': needs at least 3 levels", file=sys.stderr)
-        return 2
     try:
+        sizes = _ladder_sizes(raw)
+        out_dir = raw.get("output_dir", os.path.dirname(config_path) or ".")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError("output_dir", "must be a non-empty string")
         measurements = ladder_measurements(raw, sizes)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -465,11 +508,8 @@ def run_convergence(config_path) -> int:
     orders = convergence_orders(measurements)
     payload = {"measurements": measurements, "orders": orders,
                "threshold": ORDER_THRESHOLD}
-    out_path = os.path.join(os.path.dirname(config_path) or ".", "orders.json")
-    if "output_dir" in raw:
-        os.makedirs(raw["output_dir"], exist_ok=True)
-        out_path = os.path.join(raw["output_dir"], "orders.json")
-    with open(out_path, "w") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "orders.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
     ok = True
     for key, order in orders.items():

@@ -49,6 +49,7 @@ from .lattice import (
     DualVectorField,
     Grid,
     GroupField,
+    NonFiniteError,
     div_dual,
     l2_pair,
 )
@@ -275,7 +276,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     """Integrate the reduced system, reconstructing the group path alongside.
 
     Raises DivergenceError (carrying the step index) as soon as any state
-    entry turns non-finite.
+    entry turns non-finite, in an RK4 stage or in the new state.
     """
     grid, group, spec = cfg.grid, cfg.group, cfg.spec
     state = ReducedState(cfg.nu0.copy(), cfg.gamma0.copy(), 0.0)
@@ -283,25 +284,26 @@ def simulate(cfg: SimConfig) -> Trajectory:
     states = [state]
     chis = [chi]
     times = [0.0]
-    for n in range(cfg.steps):
-        t = n * cfg.dt
-        nu_new, gamma_new, nu_a, nu_b = _rk4_stages(spec, t, state, cfg.dt)
-        if not (np.all(np.isfinite(nu_new)) and np.all(np.isfinite(gamma_new))):
-            raise DivergenceError(n + 1)
-        try:
-            chi = reconstruct_step(chi, AlgebraField(grid, group, nu_a), 0.5 * cfg.dt)
-            chi = reconstruct_step(chi, AlgebraField(grid, group, nu_b), 0.5 * cfg.dt)
-        except StepTooLargeError as exc:
-            # a blowing-up state overruns the per-step rotation limit first
-            raise DivergenceError(n + 1) from exc
-        state = ReducedState(
-            AlgebraField(grid, group, nu_new),
-            ConnectionForm(grid, group, gamma_new),
-            (n + 1) * cfg.dt,
-        )
-        states.append(state)
-        chis.append(chi)
-        times.append((n + 1) * cfg.dt)
+    # overflow is reported once, as the DivergenceError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.steps):
+            t = n * cfg.dt
+            try:
+                nu_new, gamma_new, nu_a, nu_b = _rk4_stages(spec, t, state, cfg.dt)
+                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_a), 0.5 * cfg.dt)
+                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_b), 0.5 * cfg.dt)
+                state = ReducedState(
+                    AlgebraField(grid, group, nu_new),
+                    ConnectionForm(grid, group, gamma_new),
+                    (n + 1) * cfg.dt,
+                )
+            except (NonFiniteError, StepTooLargeError) as exc:
+                # the field containers reject non-finite values; a blowing-up
+                # but finite state overruns the per-step rotation limit instead
+                raise DivergenceError(n + 1) from exc
+            states.append(state)
+            chis.append(chi)
+            times.append((n + 1) * cfg.dt)
     return Trajectory(np.array(times), states, cfg.gamma0.copy(), chis)
 
 

@@ -20,6 +20,7 @@ from .lie import MatrixGroup
 
 __all__ = [
     "GridMismatchError",
+    "NonFiniteError",
     "Grid",
     "AlgebraField",
     "DualField",
@@ -41,6 +42,10 @@ MIN_SITES_PER_AXIS = 4
 
 class GridMismatchError(ValueError):
     """Fields live on different grids or groups."""
+
+
+class NonFiniteError(ValueError):
+    """Field values are NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ class AlgebraField:
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
 
     @classmethod
     def zeros(cls, grid, group):
@@ -136,7 +141,7 @@ class DualField:
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
 
     @classmethod
     def zeros(cls, grid, group):
@@ -192,7 +197,7 @@ class ConnectionForm:
         if self.comps.shape != want:
             raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
         if not np.all(np.isfinite(self.comps)):
-            raise ValueError("one-form components must be finite")
+            raise NonFiniteError("one-form components must be finite")
 
     @classmethod
     def zeros(cls, grid, group):
@@ -219,7 +224,7 @@ class DualVectorField:
         if self.comps.shape != want:
             raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
         if not np.all(np.isfinite(self.comps)):
-            raise ValueError("vector field components must be finite")
+            raise NonFiniteError("vector field components must be finite")
 
     @classmethod
     def zeros(cls, grid, group):

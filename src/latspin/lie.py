@@ -128,24 +128,32 @@ class MatrixGroup:
 
     def hat(self, coeffs) -> np.ndarray:
         """Coefficient vectors (..., d) to algebra matrices (..., n, n)."""
-        return np.einsum("...a,aij->...ij", np.asarray(coeffs, float), self.basis)
+        coeffs = np.asarray(coeffs, float)
+        if self.is_so3:
+            return _so3_hat(coeffs)
+        return np.einsum("...a,aij->...ij", coeffs, self.basis)
 
     def to_coeffs(self, mats) -> np.ndarray:
         """kappa-orthogonal projection of matrices onto the algebra, in coefficients.
 
         For so(3) this is the antisymmetrization followed by the inverse hat map.
         """
-        return self.kappa_weight * np.einsum(
-            "...ij,aij->...a", np.asarray(mats, float), self.basis
-        )
+        mats = np.asarray(mats, float)
+        if self.is_so3:
+            return _so3_vee(mats)
+        return self.kappa_weight * np.einsum("...ij,aij->...a", mats, self.basis)
 
     # -- algebra kernels -------------------------------------------------------
 
     def bracket_arr(self, xi, eta) -> np.ndarray:
+        if self.is_so3:
+            return _so3_cross(xi, eta)
         return np.einsum("...a,...b,abc->...c", xi, eta, self.structure)
 
     def ad_star_arr(self, xi, mu) -> np.ndarray:
         # <ad*_xi mu, eta> = <mu, [xi, eta]> evaluated against every basis vector.
+        if self.is_so3:
+            return _so3_cross(mu, xi)
         return np.einsum("...a,...c,abc->...b", xi, mu, self.structure)
 
     def ad_arr(self, gmats, coeffs) -> np.ndarray:
@@ -190,7 +198,7 @@ class MatrixGroup:
     def exp_arr(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, float)
         if self.is_so3:
-            return _so3_exp(coeffs, self.basis)
+            return _so3_exp(coeffs, self.hat(coeffs))
         if self.exp_fn is not None:
             return np.asarray(self.exp_fn(coeffs), float)
         return scipy.linalg.expm(self.hat(coeffs))
@@ -244,6 +252,51 @@ class MatrixGroup:
         return f"MatrixGroup({self.name!r}, dim={self.matrix_dim}, algebra_dim={self.algebra_dim})"
 
 
+# Closed forms of the so(3) kernels in the hat-map basis. Each is the
+# structure-tensor einsum of the generic path written out: the same products
+# and sums in the same rounding, so the results agree bit for bit. The einsum
+# accumulates from +0.0 and so never returns -0.0; the trailing "+= 0.0" turns
+# the -0.0 that a difference of signed zeros can give into +0.0 as well.
+# Component slices, not np.cross: np.cross is slower than the einsum on the
+# small (32, 3) arrays of a 1-D lattice.
+
+
+def _so3_cross(x, y) -> np.ndarray:
+    """x cross y: the bracket [x, y], and ad*_y x."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    c0 = x1 * y2
+    c0 -= x2 * y1
+    c1 = x2 * y0
+    c1 -= x0 * y2
+    c2 = x0 * y1
+    c2 -= x1 * y0
+    out = np.concatenate((c0[..., None], c1[..., None], c2[..., None]), axis=-1)
+    out += 0.0
+    return out
+
+
+def _so3_hat(c) -> np.ndarray:
+    """Skew matrix of c, filled component by component."""
+    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    k = np.zeros(c.shape[:-1] + (3, 3))
+    k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = c0, c1, c2
+    k[..., 1, 2], k[..., 2, 0], k[..., 0, 1] = -c0, -c1, -c2
+    k += 0.0
+    return k
+
+
+def _so3_vee(m) -> np.ndarray:
+    """Coefficients of the skew part (m - m^T) / 2."""
+    out = np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                    m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    out *= 0.5
+    out += 0.0
+    return out
+
+
 def _sinc_like(theta2):
     """Stable sin(t)/t and (1-cos t)/t^2 for squared angles."""
     theta = np.sqrt(theta2)
@@ -256,9 +309,9 @@ def _sinc_like(theta2):
     return a, b
 
 
-def _so3_exp(coeffs, basis) -> np.ndarray:
+def _so3_exp(coeffs, k) -> np.ndarray:
+    """Rodrigues formula; k is the hat matrix of coeffs."""
     theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
-    k = np.einsum("...a,aij->...ij", coeffs, basis)
     a, b = _sinc_like(theta2)
     eye = np.broadcast_to(np.eye(3), k.shape)
     return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
@@ -273,8 +326,7 @@ def _so3_log(gmats) -> np.ndarray:
             f"rotation angle {np.max(theta):.8f} is within "
             f"{SO3_LOG_ANGLE_MARGIN:.1e} of the cut locus at pi"
         )
-    anti = 0.5 * (gmats - np.swapaxes(gmats, -1, -2))
-    vee = np.stack([anti[..., 2, 1], anti[..., 0, 2], anti[..., 1, 0]], axis=-1)
+    vee = _so3_vee(gmats)
     small = theta < 1e-4
     theta2 = theta * theta
     with np.errstate(invalid="ignore", divide="ignore"):

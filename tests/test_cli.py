@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -135,6 +136,19 @@ def test_simulate_outputs_snapshots_and_report(tmp_path):
     assert gamma.comps.shape == (1, 8, 3)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_chunked_json_writer_matches_dumps(chunk):
+    doc = {
+        "t": 0.25, "empty": [], "nested": {"a": [1.5, -0.0, 1e-300], "b": {}},
+        "one": [7.0], "three": [0.1, 0.2, 0.3], "list_of_lists": [[1], [2, 3]],
+        "kind": "algebra", "flag": True, "none": None,
+        "data": np.random.default_rng(3).normal(size=4097).tolist(),
+    }
+    buf = io.StringIO()
+    cli._write_json(buf, doc, chunk)
+    assert buf.getvalue() == json.dumps(doc)
+
+
 def test_divergent_run_exits_3(tmp_path):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))
     cfg["init"]["nu"]["amplitude"] = 0.02
@@ -146,6 +160,21 @@ def test_divergent_run_exits_3(tmp_path):
     report = json.load(open(os.path.join(outdir, "report.json")))
     assert report["status"] == "diverged"
     assert report["failed_step"] >= 1
+
+
+def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
+    # dt 1e100 overflows inside the first step's stages, before the new state
+    cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+    cfg["init"]["nu"] = {"profile": "zero"}
+    cfg["gamma0"] = {"profile": "fourier", "modes": 2, "amplitude": 1.0, "seed": 3}
+    cfg["time"] = {"dt": 1e100, "steps": 3}
+    outdir = str(tmp_path / "out")
+    proc = run_cli(["simulate", write_config(tmp_path, cfg), outdir])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.load(open(os.path.join(outdir, "report.json")))
+    assert report["status"] == "diverged"
+    assert report["failed_step"] == 1
 
 
 def test_reproducible_series_across_runs_and_threads(tmp_path):
@@ -212,6 +241,30 @@ def test_convergence_rejects_short_ladder(tmp_path):
     proc = run_cli(["convergence", write_config(tmp_path, cfg)])
     assert proc.returncode == 2
     assert "ladder.sizes" in proc.stderr
+
+
+@pytest.mark.parametrize("base,ladder,key", [
+    pytest.param(ZERO_CONFIG, [1], "ladder", id="ladder-list"),
+    pytest.param(ZERO_CONFIG, "x", "ladder", id="ladder-string"),
+    pytest.param(ZERO_CONFIG, {"sizes": ["x", 16, 32]}, "ladder.sizes", id="size-string"),
+    pytest.param(ZERO_CONFIG, {"sizes": [2.5, 16, 32]}, "ladder.sizes", id="size-fraction"),
+    pytest.param(ZERO_CONFIG, {"sizes": [True, 16, 32]}, "ladder.sizes", id="size-bool"),
+    pytest.param(ZERO_CONFIG, {"sizes": [0, 16, 32]}, "ladder.sizes", id="size-zero"),
+    pytest.param(ZERO_CONFIG, {"sizes": [2, 16, 32]}, "ladder.sizes", id="size-below-grid"),
+    pytest.param(ZERO_CONFIG, {"sizes": [16, 16, 32]}, "ladder.sizes", id="size-repeated"),
+    # the 32-site base parses; a 4-site level cannot carry its 2 Fourier modes
+    pytest.param(REFERENCE_CONFIG, {"sizes": [4, 16, 32]}, "ladder.sizes",
+                 id="level-too-coarse-for-modes"),
+    pytest.param(dict(ZERO_CONFIG, output_dir=[1]), {"sizes": [8, 16, 32]}, "output_dir",
+                 id="output-dir-list"),
+])
+def test_convergence_invalid_config_names_key(tmp_path, base, ladder, key):
+    cfg = json.loads(json.dumps(base))
+    cfg["ladder"] = ladder
+    proc = run_cli(["convergence", write_config(tmp_path, cfg)])
+    assert proc.returncode == 2, proc.stderr
+    assert f"config key {key!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_convergence_ladder_writes_orders(tmp_path):

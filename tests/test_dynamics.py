@@ -31,9 +31,11 @@ from latspin.lattice import (
     ConnectionForm,
     Grid,
     GroupField,
+    NonFiniteError,
     d_alg,
     integrate,
 )
+from latspin.lie import generic_matrix_subgroup
 
 ENERGY_DRIFT_TOL = 1e-6
 ABAR_TOL = 1e-12
@@ -197,6 +199,40 @@ def test_simulate_divergence_detected(spec, g, grid32):
     with pytest.raises(DivergenceError) as err:
         simulate(cfg)
     assert err.value.step >= 1
+
+
+def test_simulate_divergence_inside_an_rk4_stage(spec, g, grid32):
+    # a stage overflows before the step completes; the stage's field
+    # container rejects it and simulate reports the step
+    cfg = SimConfig(
+        grid32, g, spec, AlgebraField.zeros(grid32, g),
+        fourier_connection(grid32, g, 2, 1.0, 3), dt=1e100, steps=3,
+    )
+    with pytest.raises(DivergenceError) as err:
+        simulate(cfg)
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, NonFiniteError)
+
+
+def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):
+    # the so(3) closed-form kernels against the structure-tensor path; only
+    # exp is shared, which the generic path has no closed form for
+    clone = generic_matrix_subgroup("so3-generic", g.basis, 0.5, exp_fn=g.exp_arr)
+    fast, generic = (
+        simulate(SimConfig(
+            grid2d16, group, spec,
+            fourier_algebra_field(grid2d16, group, 2, 0.4, 41),
+            fourier_connection(grid2d16, group, 2, 0.3, 42), dt=0.005, steps=10,
+        ))
+        for group in (g, clone)
+    )
+    pairs = [(a.nu.values, b.nu.values) for a, b in zip(fast.states, generic.states)]
+    pairs += [(a.gamma.comps, b.gamma.comps) for a, b in zip(fast.states, generic.states)]
+    pairs += [(a.values, b.values) for a, b in zip(fast.group_path, generic.group_path)]
+    assert len(pairs) == 33
+    for a, b in pairs:
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_simconfig_rejects_large_dt(spec, g, grid32):

@@ -333,3 +333,40 @@ def test_structure_constants_are_levi_civita(g):
 def test_nonfinite_coefficients_rejected(g):
     with pytest.raises(ValueError):
         AlgebraElement(g, np.array([np.nan, 0.0, 0.0]))
+
+
+def _seeded_coeffs(rr, shape, offset=0):
+    # rows of +0.0 and of -0.0 from row `offset` on: the signed zeros of a
+    # difference of zero products are where a closed form can drift from the
+    # einsum
+    x = rr.normal(size=shape)
+    rows = x.reshape(-1, shape[-1])
+    rows[offset::3] = 0.0
+    rows[offset + 1::5] = -0.0
+    return x
+
+
+def assert_same_bits(a, b):
+    # array_equal plus the sign of every zero
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("xshape,yshape", [
+    ((3,), (3,)),
+    ((32, 3), (32, 3)),
+    ((64, 64, 3), (64, 64, 3)),
+    ((2, 64, 64, 3), (1, 64, 64, 3)),  # the broadcast of cov_diff
+])
+def test_so3_closed_forms_match_generic_path_bit_for_bit(g, xshape, yshape):
+    clone = generic_matrix_subgroup("so3-generic", g.basis, 0.5)
+    rr = np.random.default_rng(31)
+    x, y = _seeded_coeffs(rr, xshape, 1), _seeded_coeffs(rr, yshape, 2)
+    assert_same_bits(g.bracket_arr(x, y), clone.bracket_arr(x, y))
+    assert_same_bits(g.ad_star_arr(x, y), clone.ad_star_arr(x, y))
+    assert_same_bits(g.hat(x), clone.hat(x))
+    mats = _seeded_coeffs(rr, xshape[:-1] + (9,)).reshape(xshape[:-1] + (3, 3))
+    mats[..., 1, 2] = -0.0  # against the +0.0 of the rows zeroed above
+    assert_same_bits(g.to_coeffs(mats), clone.to_coeffs(mats))
+    assert_same_bits(g.to_coeffs(g.hat(x)), clone.to_coeffs(clone.hat(x)))
