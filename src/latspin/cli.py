@@ -178,10 +178,10 @@ def _sample_steps(steps, cadence):
     return sorted(set(list(range(0, steps + 1, cadence)) + [steps]))
 
 
-def trajectory_rows(spec, traj, cadence):
-    """Per-cadence monitor rows; endpoints use one-sided time differences."""
+def trajectory_rows(spec, traj, steps):
+    """Monitor rows at the given steps of a Trajectory or a StepWindow."""
     rows = []
-    for n in _sample_steps(traj.steps, cadence):
+    for n in steps:
         t, s = traj.times[n], traj.states[n]
         rows.append({
             "t": t,
@@ -223,6 +223,23 @@ def _write_json(fh, obj, chunk=4096):
         fh.write(json.dumps(obj))
 
 
+def _write_state(outdir, traj, n):
+    """state_<n>.json: the time and snapshots of nu and gamma at step n."""
+    state = traj.states[n]
+    snap = {"t": traj.times[n], "nu": snapshot(state.nu), "gamma": snapshot(state.gamma)}
+    with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
+        _write_json(fh, snap)
+
+
+def _make_dir(path):
+    """Create the directory path if needed; None, or why it cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create directory {path!r}: {exc.strerror}"
+    return None
+
+
 def run_simulate(config_path, outdir) -> int:
     try:
         with open(config_path) as fh:
@@ -235,30 +252,29 @@ def run_simulate(config_path, outdir) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    problem = _make_dir(outdir)
+    if problem:
+        print(f"error: output directory: {problem}", file=sys.stderr)
+        return 2
 
-    os.makedirs(outdir, exist_ok=True)
-    status, exit_code = "ok", 0
+    samples = set(_sample_steps(cfg.steps, cfg.cadence))
+    rows = []
+
+    def visit(window, n):
+        if n in samples:
+            rows.extend(trajectory_rows(cfg.spec, window, [n]))
+            _write_state(outdir, window, n)
+
+    report, exit_code = {"config": raw, "status": "ok"}, 0
     try:
-        traj = dynamics.simulate(cfg)
+        dynamics.simulate(cfg, visit)
     except dynamics.DivergenceError as exc:
-        report = {"config": raw, "status": "diverged", "failed_step": exc.step, "rows": []}
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+        # the rows and snapshots of the steps before the failure stay
+        report.update(status="diverged", failed_step=exc.step)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    rows = trajectory_rows(cfg.spec, traj, cfg.cadence)
+        exit_code = 3
+    report["rows"] = rows
     write_series(os.path.join(outdir, "series.csv"), rows)
-    for n in _sample_steps(traj.steps, cfg.cadence):
-        state = traj.states[n]
-        snap = {
-            "t": traj.times[n],
-            "nu": snapshot(state.nu),
-            "gamma": snapshot(state.gamma),
-        }
-        with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
-            _write_json(fh, snap)
-    report = {"config": raw, "status": status, "rows": rows}
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
     return exit_code
@@ -501,6 +517,9 @@ def run_convergence(config_path) -> int:
         out_dir = raw.get("output_dir", os.path.dirname(config_path) or ".")
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigError("output_dir", "must be a non-empty string")
+        problem = _make_dir(out_dir)
+        if problem:
+            raise ConfigError("output_dir", problem)
         measurements = ladder_measurements(raw, sizes)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -508,7 +527,6 @@ def run_convergence(config_path) -> int:
     orders = convergence_orders(measurements)
     payload = {"measurements": measurements, "orders": orders,
                "threshold": ORDER_THRESHOLD}
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "orders.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
     ok = True

@@ -15,7 +15,9 @@ closed-form advection solution, and the curvature.
 
 monitor_row gives the four series monitors at any step. Its time differences
 are centred at interior steps and one-sided at the first and last steps, from
-the same code that covariant_residual and compatibility_monitor use.
+the same code that covariant_residual and compatibility_monitor use. It reads
+steps n-1..n+1 only, so it runs on a full Trajectory or on the StepWindow that
+simulate passes to its visitor while stepping.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "DivergenceError",
     "Trajectory",
     "SimConfig",
+    "StepWindow",
     "fourier_algebra_field",
     "fourier_connection",
     "pure_gauge_connection",
@@ -272,39 +275,76 @@ def rk4_step(spec: DensitySpec, t: float, s: ReducedState, dt: float) -> Reduced
     )
 
 
-def simulate(cfg: SimConfig) -> Trajectory:
+class StepWindow:
+    """Steps n-1, n and n+1 of a running simulation, indexed like a Trajectory.
+
+    times, states and group_path map a held step index to its value; grid,
+    group, dt, steps and gamma0 come from the configuration. simulate drops
+    the oldest step after each visit, so a window holds at most three steps.
+    """
+
+    def __init__(self, cfg: SimConfig):
+        self.grid, self.group = cfg.grid, cfg.group
+        self.dt, self.steps = cfg.dt, cfg.steps
+        self.gamma0 = cfg.gamma0.copy()
+        self.times, self.states, self.group_path = {}, {}, {}
+
+    def _push(self, k, state, chi):
+        self.times[k] = np.float64(k * self.dt)
+        self.states[k] = state
+        self.group_path[k] = chi
+
+    def _drop(self, k):
+        for held in (self.times, self.states, self.group_path):
+            held.pop(k, None)
+
+
+def simulate(cfg: SimConfig, visit=None) -> Trajectory | None:
     """Integrate the reduced system, reconstructing the group path alongside.
 
+    visit(window, n) is called for n = 0..steps once step n+1 exists (for the
+    last step, after the loop), with a StepWindow holding steps n-1..n+1;
+    step n-1 is dropped after the call, so memory does not grow with steps.
+    Without visit, every step is collected and the Trajectory is returned.
+
     Raises DivergenceError (carrying the step index) as soon as any state
-    entry turns non-finite, in an RK4 stage or in the new state.
+    entry turns non-finite, in an RK4 stage or in the new state; the visits
+    of earlier steps have been made by then.
     """
-    grid, group, spec = cfg.grid, cfg.group, cfg.spec
+    collected = [] if visit is None else None
+    if visit is None:
+        def visit(window, n):
+            collected.append((window.times[n], window.states[n], window.group_path[n]))
+
+    grid, group, spec, dt = cfg.grid, cfg.group, cfg.spec, cfg.dt
+    window = StepWindow(cfg)
     state = ReducedState(cfg.nu0.copy(), cfg.gamma0.copy(), 0.0)
     chi = GroupField.identity(grid, group)
-    states = [state]
-    chis = [chi]
-    times = [0.0]
-    # overflow is reported once, as the DivergenceError, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.steps):
-            t = n * cfg.dt
+    window._push(0, state, chi)
+    for n in range(cfg.steps):
+        # overflow is reported once, as the DivergenceError, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
-                nu_new, gamma_new, nu_a, nu_b = _rk4_stages(spec, t, state, cfg.dt)
-                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_a), 0.5 * cfg.dt)
-                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_b), 0.5 * cfg.dt)
+                nu_new, gamma_new, nu_a, nu_b = _rk4_stages(spec, n * dt, state, dt)
+                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_a), 0.5 * dt)
+                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_b), 0.5 * dt)
                 state = ReducedState(
                     AlgebraField(grid, group, nu_new),
                     ConnectionForm(grid, group, gamma_new),
-                    (n + 1) * cfg.dt,
+                    (n + 1) * dt,
                 )
             except (NonFiniteError, StepTooLargeError) as exc:
                 # the field containers reject non-finite values; a blowing-up
                 # but finite state overruns the per-step rotation limit instead
                 raise DivergenceError(n + 1) from exc
-            states.append(state)
-            chis.append(chi)
-            times.append((n + 1) * cfg.dt)
-    return Trajectory(np.array(times), states, cfg.gamma0.copy(), chis)
+        window._push(n + 1, state, chi)
+        visit(window, n)
+        window._drop(n - 1)
+    visit(window, cfg.steps)
+    if collected is None:
+        return None
+    times, states, chis = zip(*collected)
+    return Trajectory(np.array(times), list(states), window.gamma0, list(chis))
 
 
 def energy(spec: DensitySpec, t: float, s: ReducedState) -> float:

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latspin import cli
+from latspin import cli, dynamics
 from latspin.lie import so3
 
 REFERENCE_CONFIG = {
@@ -175,6 +176,120 @@ def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
     report = json.load(open(os.path.join(outdir, "report.json")))
     assert report["status"] == "diverged"
     assert report["failed_step"] == 1
+
+
+def test_diverged_run_keeps_its_finished_rows(tmp_path):
+    # fails at step 30 (dt * max|nu| overruns the reconstruction limit); the
+    # rows at steps 0, 7, ..., 28 were finished before that
+    cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+    cfg["init"]["nu"]["amplitude"] = 0.02
+    cfg["gamma0"] = {"profile": "fourier", "modes": 2, "amplitude": 0.1, "seed": 2}
+    cfg["time"] = {"dt": 0.1, "steps": 500}
+    cfg["output"] = {"cadence": 7}
+    outdir = str(tmp_path / "out")
+    proc = run_cli(["simulate", write_config(tmp_path, cfg), outdir])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.load(open(os.path.join(outdir, "report.json")))
+    assert report["status"] == "diverged"
+    rows = read_series(outdir)
+    assert len(rows) >= 2
+    assert len(rows) == len(report["rows"])
+    for row, want in zip(rows, report["rows"]):
+        assert row == {key: cli._fmt(want[key]) for key in cli.SERIES_HEADER.split(",")}
+        assert want["t"] < report["failed_step"] * cfg["time"]["dt"]
+    steps = [round(row["t"] / cfg["time"]["dt"]) for row in report["rows"]]
+    assert steps == list(range(0, steps[-1] + 1, 7))
+    states = sorted(f for f in os.listdir(outdir) if f.startswith("state_"))
+    assert states == sorted(f"state_{n}.json" for n in steps)
+
+
+def test_simulate_into_an_existing_file_exits_2(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    proc = run_cli(["simulate", write_config(tmp_path, ZERO_CONFIG), str(target)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert str(target) in proc.stderr
+
+
+def test_convergence_output_dir_is_a_file_exits_2_before_the_ladder(tmp_path):
+    # the 4-site level would exit 2 naming ladder.sizes once the ladder ran
+    target = tmp_path / "taken"
+    target.write_text("")
+    cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+    cfg["ladder"] = {"sizes": [4, 16, 32]}
+    cfg["output_dir"] = str(target)
+    proc = run_cli(["convergence", write_config(tmp_path, cfg)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config key 'output_dir'" in proc.stderr
+
+
+STREAM_2D = {
+    "grid": {"dim": 2, "sizes": [16, 12], "spacing": [1.0 / 16, 1.0 / 12]},
+    "group": "SO3",
+    "lagrangian": "spin_glass",
+    "init": {"nu": {"profile": "fourier", "modes": 2, "amplitude": 0.4, "seed": 7}},
+    "gamma0": {"profile": "pure_gauge", "modes": 2, "amplitude": 0.3, "seed": 8},
+    "time": {"dt": 0.002, "steps": 7},
+    "output": {"cadence": 3},
+}
+
+
+def stream_case(steps):
+    cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+    cfg["gamma0"] = {"profile": "fourier", "modes": 2, "amplitude": 0.2, "seed": 5}
+    cfg["time"] = {"dt": 0.001, "steps": steps}
+    cfg["output"] = {"cadence": 3}
+    return cfg
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(stream_case(steps), id=f"1d-{steps}-steps") for steps in (0, 1, 2, 7)
+] + [pytest.param(STREAM_2D, id="2d-16x12")])
+def test_streamed_outputs_equal_the_collected_trajectory(tmp_path, raw):
+    outdir = tmp_path / "streamed"
+    assert cli.run_simulate(write_config(tmp_path, raw), str(outdir)) == 0
+    # the same files from the whole Trajectory, held at once
+    expected = tmp_path / "collected"
+    expected.mkdir()
+    cfg = cli.parse_config(raw)
+    traj = dynamics.simulate(cfg)
+    samples = cli._sample_steps(traj.steps, cfg.cadence)
+    rows = cli.trajectory_rows(cfg.spec, traj, samples)
+    cli.write_series(str(expected / "series.csv"), rows)
+    for n in samples:
+        cli._write_state(str(expected), traj, n)
+    report = {"config": raw, "status": "ok", "rows": rows}
+    (expected / "report.json").write_text(json.dumps(report, indent=2))
+    names = sorted(os.listdir(expected))
+    assert sorted(os.listdir(outdir)) == names
+    assert len(names) == len(samples) + 2
+    for name in names:
+        assert (outdir / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_simulate_peak_memory_is_flat_in_the_step_count(tmp_path):
+    # 16x16: one held step (nu, gamma, chi) is about 36 KiB, so holding the
+    # whole run would add about 6.3 MiB between 20 and 200 steps
+    def traced_peak(steps):
+        raw = json.loads(json.dumps(STREAM_2D))
+        raw["grid"] = {"dim": 2, "sizes": [16, 16], "spacing": [1.0 / 16, 1.0 / 16]}
+        raw["time"]["steps"] = steps
+        raw["output"]["cadence"] = 10
+        path = write_config(tmp_path, raw, f"config_{steps}.json")
+        tracemalloc.start()
+        try:
+            assert cli.run_simulate(path, str(tmp_path / f"out_{steps}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2)  # first-call allocations (imports, caches) stay out of the figures
+    short, long = traced_peak(20), traced_peak(200)
+    assert long <= 1.1 * short, (short, long)
 
 
 def test_reproducible_series_across_runs_and_threads(tmp_path):

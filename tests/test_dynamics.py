@@ -434,3 +434,38 @@ def test_monitor_row_endpoints_interior_and_short_runs(spec, g):
         short = simulate(make_cfg(g, grid, 20, dt=0.01, steps=steps))
         for n in range(steps + 1):
             assert all(np.isfinite(v) for v in monitor_row(spec, short, n).values())
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 5])
+def test_simulate_visits_a_three_step_window(spec, g, grid2d16, steps):
+    cfg = make_cfg(g, grid2d16, 23, dt=0.01, steps=steps)
+    traj = simulate(cfg)
+    seen = []
+
+    def visit(window, n):
+        assert sorted(window.states) == list(range(max(n - 1, 0), min(n + 1, steps) + 1))
+        assert sorted(window.times) == sorted(window.group_path) == sorted(window.states)
+        assert (window.steps, window.dt) == (steps, cfg.dt)
+        assert window.grid is cfg.grid and window.group is cfg.group
+        assert np.array_equal(window.gamma0.comps, traj.gamma0.comps)
+        for k in window.states:
+            assert window.times[k] == traj.times[k] == k * cfg.dt
+            assert np.array_equal(window.states[k].nu.values, traj.states[k].nu.values)
+            assert np.array_equal(window.states[k].gamma.comps, traj.states[k].gamma.comps)
+            assert np.array_equal(window.group_path[k].values, traj.group_path[k].values)
+        assert monitor_row(spec, window, n) == monitor_row(spec, traj, n)
+        seen.append(n)
+
+    assert simulate(cfg, visit) is None
+    assert seen == list(range(steps + 1))
+
+
+def test_simulate_visits_every_step_before_a_divergence(spec, g, grid32):
+    # dt beyond the stability limit: step 5 fails
+    cfg = make_cfg(g, grid32, 5, dt=0.2, steps=500, nu_amp=0.02, gamma_amp=0.1)
+    seen = []
+    with pytest.raises(DivergenceError) as err:
+        simulate(cfg, lambda window, n: seen.append(n))
+    # step n is visited once step n + 1 exists
+    assert err.value.step > 2
+    assert seen == list(range(err.value.step - 1))

@@ -14,6 +14,7 @@ from latspin.lattice import (
     Grid,
     GridMismatchError,
     GroupField,
+    cdiff_array,
     central_diff,
     d_alg,
     div_dual,
@@ -83,6 +84,28 @@ def test_central_diff_axis_out_of_range(g, grid32):
     f = AlgebraField.zeros(grid32, g)
     with pytest.raises(ValueError):
         central_diff(f, 1)
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((4, 3), (0,)), ((32, 3), (0,)), ((64, 64, 3), (0, 1)),
+    ((16, 12, 3), (0, 1)), ((64, 64, 3, 3), (0, 1)),
+])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_cdiff_array_matches_roll_formula_bit_for_bit(shape, axes, layout):
+    rand = np.random.default_rng(5).normal(size=shape)
+    rand[rand > 1.2] = 0.0
+    rand[rand < -1.2] = -0.0
+    for axis in axes:
+        # -0.0 - +0.0 is -0.0: site 1 of the axis must come out as -0.0
+        vals = np.moveaxis(rand.copy(), axis, 0)
+        vals[0], vals[2] = 0.0, -0.0
+        vals = np.asarray(np.moveaxis(vals, 0, axis), order=layout)
+        h = 1.0 / shape[axis]
+        want = (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (2.0 * h)
+        got = cdiff_array(vals, axis, h)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any((want == 0.0) & np.signbit(want))
 
 
 def test_central_diff_summation_by_parts(g, grid32):
