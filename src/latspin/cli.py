@@ -270,7 +270,8 @@ def run_simulate(config_path, outdir) -> int:
         dynamics.simulate(cfg, visit)
     except dynamics.DivergenceError as exc:
         # the rows and snapshots of the steps before the failure stay
-        report.update(status="diverged", failed_step=exc.step)
+        report.update(status="diverged", failed_step=exc.step,
+                      failed_cause=exc.cause, failed_field=exc.field)
         print(f"error: {exc}", file=sys.stderr)
         exit_code = 3
     report["rows"] = rows
@@ -410,6 +411,13 @@ def verify_suite(seed=0, sizes=(32, 16), flip_gamma_sign=False):
 
 
 def run_verify(seed=0, sizes=(32, 16), flip_gamma_sign=False) -> int:
+    if seed < 0:
+        print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
+        return 2
+    if min(sizes) < MIN_SITES_PER_AXIS:
+        print(f"error: --sizes must be at least {MIN_SITES_PER_AXIS} sites per axis, "
+              f"got {' '.join(map(str, sizes))}", file=sys.stderr)
+        return 2
     all_ok, lines = verify_suite(seed=seed, sizes=sizes, flip_gamma_sign=flip_gamma_sign)
     for name, ok, bound, tol in lines:
         print(f"{'PASS' if ok else 'FAIL'} {name:42s} measured={bound:.3e} tol={tol:.1e}")

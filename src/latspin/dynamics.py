@@ -31,7 +31,9 @@ from .fields import (
     StepTooLargeError,
     advect_exact,
     cov_diff,
+    cov_diff_array,
     cov_div,
+    cov_div_array,
     curvature_max,
     gauge_act,
     jet_from_state,
@@ -39,8 +41,9 @@ from .fields import (
 )
 from .lagrangian import (
     DensitySpec,
-    delta_l_delta_gamma,
+    delta_l_delta_gamma_array,
     delta_l_delta_nu,
+    delta_l_delta_nu_array,
     instantaneous_L,
     reduced_l,
 )
@@ -81,11 +84,16 @@ RECONSTRUCTION_SAFETY = 0.1
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced non-finite values."""
+    """Integration failed at step, for cause, first seen in field.
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at step {step}")
-        self.step = step
+    cause "non_finite" with field "nu" or "gamma": the new state (or, for
+    "nu", a midpoint velocity) holds NaN or inf. cause "step_too_large" with
+    field "chi": a reconstruction substep overruns the per-step rotation limit.
+    """
+
+    def __init__(self, step: int, cause: str, field: str):
+        super().__init__(f"{cause} in {field} at step {step}")
+        self.step, self.cause, self.field = step, cause, field
 
 
 @dataclass
@@ -230,36 +238,29 @@ def pure_gauge_connection(grid, group, modes, amplitude, seed) -> ConnectionForm
 # -- right-hand side and stepping ----------------------------------------------
 
 
-def aep_rhs(spec: DensitySpec, t: float, s: ReducedState):
-    """Right-hand side (nu_dot, gamma_dot) of the reduced system."""
-    m = delta_l_delta_nu(spec, t, s)
-    w = delta_l_delta_gamma(spec, t, s)
-    rho = cov_div(s.gamma, w)
-    rho.values -= s.group.ad_star_arr(s.nu.values, m.values)
-    nu_dot = spec.invert_kinetic(rho.values, t=t, dim=s.grid.dim)
-    gamma_dot = -cov_diff(s.gamma, s.nu).comps
+def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gamma):
+    """Right-hand side (nu_dot, gamma_dot) of the reduced system.
+
+    nu (sites..., d) and gamma (dim, sites..., d) are coefficient arrays; no
+    field container is built, so the caller checks finiteness.
+    """
+    m = delta_l_delta_nu_array(spec, t, nu, gamma)
+    w = delta_l_delta_gamma_array(spec, t, nu, gamma)
+    rho = cov_div_array(grid, group, gamma, w)
+    rho -= group.ad_star_arr(nu, m)
+    nu_dot = spec.invert_kinetic(rho, t=t, dim=grid.dim)
+    gamma_dot = -cov_diff_array(grid, group, gamma, nu)
     return nu_dot, gamma_dot
 
 
-def _rk4_stages(spec, t, s, dt):
+def _rk4_stages(spec, t, grid, group, nu, gamma, dt):
     """Classical RK4 stage derivatives plus the two midpoint-stage velocities."""
-    nu, gamma = s.nu.values, s.gamma.comps
-    grid, group = s.grid, s.group
-
-    def rhs(tt, nu_arr, gamma_arr):
-        state = ReducedState(
-            AlgebraField(grid, group, nu_arr),
-            ConnectionForm(grid, group, gamma_arr),
-            tt,
-        )
-        return aep_rhs(spec, tt, state)
-
-    k1 = rhs(t, nu, gamma)
+    k1 = aep_rhs(spec, t, grid, group, nu, gamma)
     nu_a = nu + 0.5 * dt * k1[0]
-    k2 = rhs(t + 0.5 * dt, nu_a, gamma + 0.5 * dt * k1[1])
+    k2 = aep_rhs(spec, t + 0.5 * dt, grid, group, nu_a, gamma + 0.5 * dt * k1[1])
     nu_b = nu + 0.5 * dt * k2[0]
-    k3 = rhs(t + 0.5 * dt, nu_b, gamma + 0.5 * dt * k2[1])
-    k4 = rhs(t + dt, nu + dt * k3[0], gamma + dt * k3[1])
+    k3 = aep_rhs(spec, t + 0.5 * dt, grid, group, nu_b, gamma + 0.5 * dt * k2[1])
+    k4 = aep_rhs(spec, t + dt, grid, group, nu + dt * k3[0], gamma + dt * k3[1])
     nu_new = nu + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     gamma_new = gamma + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     return nu_new, gamma_new, nu_a, nu_b
@@ -267,12 +268,21 @@ def _rk4_stages(spec, t, s, dt):
 
 def rk4_step(spec: DensitySpec, t: float, s: ReducedState, dt: float) -> ReducedState:
     """One classical RK4 step on the (nu, gamma) pair."""
-    nu_new, gamma_new, _, _ = _rk4_stages(spec, t, s, dt)
+    nu_new, gamma_new, _, _ = _rk4_stages(
+        spec, t, s.grid, s.group, s.nu.values, s.gamma.comps, dt)
     return ReducedState(
         AlgebraField(s.grid, s.group, nu_new),
         ConnectionForm(s.grid, s.group, gamma_new),
         t + dt,
     )
+
+
+def _checked(step, field, cls, grid, group, arr):
+    """The container cls(grid, group, arr); non-finite arr diverges as field."""
+    try:
+        return cls(grid, group, arr)
+    except NonFiniteError as exc:
+        raise DivergenceError(step, "non_finite", field) from exc
 
 
 class StepWindow:
@@ -307,9 +317,11 @@ def simulate(cfg: SimConfig, visit=None) -> Trajectory | None:
     step n-1 is dropped after the call, so memory does not grow with steps.
     Without visit, every step is collected and the Trajectory is returned.
 
-    Raises DivergenceError (carrying the step index) as soon as any state
-    entry turns non-finite, in an RK4 stage or in the new state; the visits
-    of earlier steps have been made by then.
+    Raises DivergenceError (carrying the step index, cause and field) as soon
+    as the new state or a midpoint velocity holds a non-finite entry (an RK4
+    stage that overflows carries it into both), or a reconstruction substep
+    overruns its rotation limit; the visits of earlier steps have been made
+    by then.
     """
     collected = [] if visit is None else None
     if visit is None:
@@ -324,19 +336,20 @@ def simulate(cfg: SimConfig, visit=None) -> Trajectory | None:
     for n in range(cfg.steps):
         # overflow is reported once, as the DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            nu_new, gamma_new, nu_a, nu_b = _rk4_stages(
+                spec, n * dt, grid, group, state.nu.values, state.gamma.comps, dt)
+            state = ReducedState(
+                _checked(n + 1, "nu", AlgebraField, grid, group, nu_new),
+                _checked(n + 1, "gamma", ConnectionForm, grid, group, gamma_new),
+                (n + 1) * dt,
+            )
             try:
-                nu_new, gamma_new, nu_a, nu_b = _rk4_stages(spec, n * dt, state, dt)
-                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_a), 0.5 * dt)
-                chi = reconstruct_step(chi, AlgebraField(grid, group, nu_b), 0.5 * dt)
-                state = ReducedState(
-                    AlgebraField(grid, group, nu_new),
-                    ConnectionForm(grid, group, gamma_new),
-                    (n + 1) * dt,
-                )
-            except (NonFiniteError, StepTooLargeError) as exc:
-                # the field containers reject non-finite values; a blowing-up
-                # but finite state overruns the per-step rotation limit instead
-                raise DivergenceError(n + 1) from exc
+                for nu_mid in (nu_a, nu_b):
+                    velocity = _checked(n + 1, "nu", AlgebraField, grid, group, nu_mid)
+                    chi = reconstruct_step(chi, velocity, 0.5 * dt)
+            except StepTooLargeError as exc:
+                # a blowing-up but finite state overruns the rotation limit
+                raise DivergenceError(n + 1, "step_too_large", "chi") from exc
         window._push(n + 1, state, chi)
         visit(window, n)
         window._drop(n - 1)

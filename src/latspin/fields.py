@@ -22,8 +22,8 @@ from .lattice import (
     GridMismatchError,
     _check_same_grid,
     cdiff_array,
-    d_alg,
-    div_dual,
+    d_array,
+    div_array,
 )
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "gauge_act",
     "cov_diff",
     "cov_div",
+    "cov_diff_array",
+    "cov_div_array",
     "curvature",
     "advect_exact",
     "reconstruct_step",
@@ -96,12 +98,25 @@ def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
     return ConnectionForm(gamma.grid, group, comps)
 
 
+def cov_diff_array(grid, group, gamma, zeta) -> np.ndarray:
+    """cov_diff on coefficient arrays: gamma (dim, sites..., d), zeta (sites..., d)."""
+    out = d_array(zeta, grid.spacing)
+    out += group.bracket_arr(gamma, zeta[None])
+    return out
+
+
+def cov_div_array(grid, group, gamma, w) -> np.ndarray:
+    """cov_div on coefficient arrays: gamma and w (dim, sites..., d)."""
+    out = div_array(w, grid.spacing)
+    out -= np.sum(group.ad_star_arr(gamma, w), axis=0)
+    return out
+
+
 def cov_diff(gamma: ConnectionForm, zeta: AlgebraField) -> ConnectionForm:
     """Covariant differential d zeta + [gamma_i, zeta] per axis."""
     _check_same_grid(gamma, zeta)
-    out = d_alg(zeta)
-    out.comps += gamma.group.bracket_arr(gamma.comps, zeta.values[None])
-    return out
+    comps = cov_diff_array(gamma.grid, gamma.group, gamma.comps, zeta.values)
+    return ConnectionForm(gamma.grid, gamma.group, comps)
 
 
 def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
@@ -110,9 +125,8 @@ def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
     Exactly the negative L2 adjoint of cov_diff for the same gamma.
     """
     _check_same_grid(gamma, w)
-    out = div_dual(w)
-    out.values -= np.sum(gamma.group.ad_star_arr(gamma.comps, w.comps), axis=0)
-    return out
+    values = cov_div_array(gamma.grid, gamma.group, gamma.comps, w.comps)
+    return DualField(gamma.grid, gamma.group, values)
 
 
 def curvature(gamma: ConnectionForm) -> np.ndarray:

@@ -35,6 +35,8 @@ __all__ = [
     "instantaneous_L",
     "delta_l_delta_nu",
     "delta_l_delta_gamma",
+    "delta_l_delta_nu_array",
+    "delta_l_delta_gamma_array",
     "fd_gradient_oracle",
 ]
 
@@ -180,16 +182,27 @@ def instantaneous_L(spec: DensitySpec, t: float, chi: GroupField,
     return integrate(chi.grid, density)
 
 
+def delta_l_delta_nu_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
+    """delta_l_delta_nu on coefficient arrays nu (sites..., d), gamma (dim, sites..., d)."""
+    return spec.d_sigma1(t, nu, -gamma)
+
+
+def delta_l_delta_gamma_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
+    """delta_l_delta_gamma on coefficient arrays; the sigma2 = -gamma chain rule
+    flips the sign."""
+    return -spec.d_sigma2(t, nu, -gamma)
+
+
 def delta_l_delta_nu(spec: DensitySpec, t: float, s: ReducedState) -> DualField:
     """Functional derivative of the reduced Lagrangian in nu (a dual density)."""
-    return DualField(s.grid, s.group, spec.d_sigma1(t, s.nu.values, -s.gamma.comps))
+    values = delta_l_delta_nu_array(spec, t, s.nu.values, s.gamma.comps)
+    return DualField(s.grid, s.group, values)
 
 
 def delta_l_delta_gamma(spec: DensitySpec, t: float, s: ReducedState) -> DualVectorField:
-    """Functional derivative in gamma; the sigma2 = -gamma chain rule flips the sign."""
-    return DualVectorField(
-        s.grid, s.group, -spec.d_sigma2(t, s.nu.values, -s.gamma.comps)
-    )
+    """Functional derivative of the reduced Lagrangian in gamma (per axis)."""
+    comps = delta_l_delta_gamma_array(spec, t, s.nu.values, s.gamma.comps)
+    return DualVectorField(s.grid, s.group, comps)
 
 
 def fd_gradient_oracle(functional, x, eps: float):

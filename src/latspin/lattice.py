@@ -29,6 +29,8 @@ __all__ = [
     "ConnectionForm",
     "DualVectorField",
     "central_diff",
+    "d_array",
+    "div_array",
     "d_alg",
     "div_dual",
     "integrate",
@@ -270,20 +272,27 @@ def central_diff(f, axis: int):
     return type(f)(f.grid, f.group, out)
 
 
+def d_array(values, spacing) -> np.ndarray:
+    """Exterior derivative of coefficients (sites..., d): one cdiff per axis."""
+    return np.stack([cdiff_array(values, i, h) for i, h in enumerate(spacing)])
+
+
+def div_array(comps, spacing) -> np.ndarray:
+    """Divergence of per-axis coefficients (dim, sites..., d): sum of cdiffs."""
+    out = np.zeros(comps.shape[1:])
+    for i, h in enumerate(spacing):
+        out += cdiff_array(comps[i], i, h)
+    return out
+
+
 def d_alg(zeta: AlgebraField) -> ConnectionForm:
     """Plain exterior derivative of an algebra-valued function."""
-    comps = np.stack(
-        [cdiff_array(zeta.values, i, zeta.grid.spacing[i]) for i in range(zeta.grid.dim)]
-    )
-    return ConnectionForm(zeta.grid, zeta.group, comps)
+    return ConnectionForm(zeta.grid, zeta.group, d_array(zeta.values, zeta.grid.spacing))
 
 
 def div_dual(w: DualVectorField) -> DualField:
     """Plain divergence of a dual-valued vector field."""
-    out = np.zeros(w.grid.sizes + (w.group.algebra_dim,))
-    for i in range(w.grid.dim):
-        out += cdiff_array(w.comps[i], i, w.grid.spacing[i])
-    return DualField(w.grid, w.group, out)
+    return DualField(w.grid, w.group, div_array(w.comps, w.grid.spacing))
 
 
 def integrate(grid: Grid, site_values) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DescriptorMismatchError",
@@ -201,6 +200,8 @@ class MatrixGroup:
             return _so3_exp(coeffs, self.hat(coeffs))
         if self.exp_fn is not None:
             return np.asarray(self.exp_fn(coeffs), float)
+        import scipy.linalg  # only the generic fallbacks need scipy
+
         return scipy.linalg.expm(self.hat(coeffs))
 
     def log_arr(self, gmats) -> np.ndarray:
@@ -209,6 +210,8 @@ class MatrixGroup:
             return _so3_log(gmats)
         if self.log_fn is not None:
             return np.asarray(self.log_fn(gmats), float)
+        import scipy.linalg  # only the generic fallbacks need scipy
+
         out = np.empty(gmats.shape[:-2] + (self.algebra_dim,))
         flat = gmats.reshape((-1,) + gmats.shape[-2:])
         logs = np.empty_like(flat)

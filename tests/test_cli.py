@@ -161,6 +161,11 @@ def test_divergent_run_exits_3(tmp_path):
     report = json.load(open(os.path.join(outdir, "report.json")))
     assert report["status"] == "diverged"
     assert report["failed_step"] >= 1
+    # a finite but blowing-up state overruns the reconstruction limit
+    assert report["failed_cause"] == "step_too_large"
+    assert report["failed_field"] == "chi"
+    assert proc.stderr.splitlines() == [
+        f"error: step_too_large in chi at step {report['failed_step']}"]
 
 
 def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
@@ -176,6 +181,9 @@ def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
     report = json.load(open(os.path.join(outdir, "report.json")))
     assert report["status"] == "diverged"
     assert report["failed_step"] == 1
+    assert report["failed_cause"] == "non_finite"
+    assert report["failed_field"] == "nu"
+    assert proc.stderr.splitlines() == ["error: non_finite in nu at step 1"]
 
 
 def test_diverged_run_keeps_its_finished_rows(tmp_path):
@@ -345,6 +353,19 @@ def test_verify_cli_exit_codes():
     proc = run_cli(["verify", "--seed", "1", "--sizes", "8", "4", "--flip-gamma-sign"])
     assert proc.returncode == 1
     assert "FAIL lagrangian.fd_match_gamma.1d" in proc.stdout
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--sizes", "3", "3"], "--sizes"),
+    (["--sizes", "4", "-2"], "--sizes"),
+    (["--seed", "-1"], "--seed"),
+])
+def test_verify_bad_arguments_exit_2_naming_the_flag(args, flag):
+    proc = run_cli(["verify", *args])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and flag in lines[0], proc.stderr
+    assert proc.stdout == ""
 
 
 # -- convergence -----------------------------------------------------------------

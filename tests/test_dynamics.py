@@ -25,7 +25,12 @@ from latspin.fields import (
     cov_div,
     curvature_max,
 )
-from latspin.lagrangian import delta_l_delta_gamma, delta_l_delta_nu, spin_glass_spec
+from latspin.lagrangian import (
+    DensitySpec,
+    delta_l_delta_gamma,
+    delta_l_delta_nu,
+    spin_glass_spec,
+)
 from latspin.lattice import (
     AlgebraField,
     ConnectionForm,
@@ -85,7 +90,7 @@ def plane_wave_exact(g, grid, t, amp=0.4):
 def test_rhs_zero_connection(spec, g, grid32):
     nu = fourier_algebra_field(grid32, g, 2, 0.7, 1)
     s = ReducedState(nu, ConnectionForm.zeros(grid32, g), 0.0)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s)
+    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(nu_dot)) <= 1e-13
     assert np.allclose(gamma_dot, -d_alg(nu).comps, atol=1e-14)
 
@@ -93,7 +98,7 @@ def test_rhs_zero_connection(spec, g, grid32):
 def test_rhs_zero_velocity(spec, g, grid32):
     gamma = fourier_connection(grid32, g, 2, 0.7, 2)
     s = ReducedState(AlgebraField.zeros(grid32, g), gamma, 0.0)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s)
+    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(gamma_dot)) == 0.0
     # for the quadratic density nu_dot = -sharp(div flat(gamma))
     from latspin.lattice import DualVectorField, div_dual
@@ -104,13 +109,57 @@ def test_rhs_zero_velocity(spec, g, grid32):
 
 def test_rhs_plane_wave_matches_linear_oracle(spec, g, grid32):
     s = plane_wave_state(g, grid32)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s)
+    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
     x = grid32.coordinates()[0]
     h = grid32.spacing[0]
     sym = np.sin(2 * np.pi * h) / h
     assert np.max(np.abs(nu_dot)) <= 1e-13
     want = -0.4 * sym * np.cos(2 * np.pi * x)
     assert np.allclose(gamma_dot[0, :, 0], want, atol=1e-13)
+
+
+def container_rhs(spec, t, s):
+    """The right-hand side written with the field containers, as the oracle."""
+    m = delta_l_delta_nu(spec, t, s)
+    rho = cov_div(s.gamma, delta_l_delta_gamma(spec, t, s))
+    rho.values -= s.group.ad_star_arr(s.nu.values, m.values)
+    nu_dot = spec.invert_kinetic(rho.values, t=t, dim=s.grid.dim)
+    return nu_dot, -cov_diff(s.gamma, s.nu).comps
+
+
+def anisotropic_spec():
+    """spin_glass with inertia diag(1, 2, 3) and stiffness diag(3, 1, 2): both
+    ad* terms of the right-hand side become non-zero, and the kinetic map is
+    inverted by its probed matrix."""
+    inertia, stiffness = np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0])
+
+    def value(t, s1, s2):
+        kin = np.einsum("...a,...a->...", inertia * s1, s1)
+        return 0.5 * (kin - np.einsum("i...a,i...a->...", stiffness * s2, s2))
+
+    return DensitySpec("anisotropic", value, lambda t, s1, s2: inertia * s1,
+                       lambda t, s1, s2: -stiffness * s2)
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 12)])
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("density", [spin_glass_spec, anisotropic_spec])
+def test_array_rhs_matches_the_container_formula_bit_for_bit(g, sizes, generic, density):
+    spec = density()
+    spec.self_test(dim=len(sizes), algebra_dim=3)
+    group = generic_matrix_subgroup("so3-generic", g.basis, 0.5) if generic else g
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    nu = fourier_algebra_field(grid, group, 2, 0.7, 5).values
+    gamma = fourier_connection(grid, group, 2, 0.6, 6).comps
+    # whole rows of +0.0 and -0.0, where a changed operation order flips signs
+    nu[1], nu[2] = 0.0, -0.0
+    gamma[:, 3], gamma[:, 4] = 0.0, -0.0
+    gamma[:, 2], nu[4] = -0.0, 0.0
+    s = ReducedState(AlgebraField(grid, group, nu), ConnectionForm(grid, group, gamma), 0.25)
+    got = aep_rhs(spec, 0.25, grid, group, nu, gamma)
+    for have, want in zip(got, container_rhs(spec, 0.25, s)):
+        assert np.array_equal(have, want)
+        assert np.array_equal(np.signbit(have), np.signbit(want))
 
 
 # -- RK4 -------------------------------------------------------------------------
@@ -212,6 +261,7 @@ def test_simulate_divergence_inside_an_rk4_stage(spec, g, grid32):
         simulate(cfg)
     assert err.value.step == 1
     assert isinstance(err.value.__cause__, NonFiniteError)
+    assert (err.value.cause, err.value.field) == ("non_finite", "nu")
 
 
 def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -300,6 +303,32 @@ def test_generic_descriptor_agrees_with_fast_path(g):
         assert np.allclose(clone.log_arr(clone.exp_arr(v)), v, atol=1e-10)
         w = rr.normal(size=3)
         assert np.allclose(clone.bracket_arr(v, w), g.bracket_arr(v, w), atol=EXACT)
+
+
+SCIPY_ON_DEMAND = """
+import sys
+import numpy as np
+import latspin.cli
+from latspin.lie import generic_matrix_subgroup, so3
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+assert not scipy_loaded(), "import latspin.cli loaded scipy"
+clone = generic_matrix_subgroup("so3-generic", so3().basis, 0.5)
+xi = np.array([[0.3, -0.2, 0.5], [0.1, 0.0, -0.4]])
+assert not scipy_loaded(), "building a generic descriptor loaded scipy"
+mats = clone.exp_arr(xi)
+assert np.allclose(mats, so3().exp_arr(xi), atol=1e-12)
+assert np.allclose(clone.log_arr(mats), xi, atol=1e-10)
+assert scipy_loaded(), "the generic fallbacks ran without scipy"
+"""
+
+
+def test_scipy_is_imported_only_by_the_generic_fallbacks():
+    proc = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_generic_descriptor_custom_hooks(g):
