@@ -126,6 +126,8 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
         raise ConfigError("time.dt", "must be positive")
     if steps < 0:
         raise ConfigError("time.steps", "must be non-negative")
+    if steps > sys.maxsize:
+        raise ConfigError("time.steps", f"must be at most {sys.maxsize}")
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output", "must be an object")
@@ -133,18 +135,21 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
     if cadence < 1:
         raise ConfigError("output.cadence", "must be at least 1")
 
-    try:
-        nu0 = _make_nu(grid, group, nu_cfg)
-    except ValueError as exc:
-        raise ConfigError("init.nu", str(exc)) from None
-    try:
-        gamma0 = _make_gamma(grid, group, gamma_cfg)
-    except ValueError as exc:
-        raise ConfigError("gamma0", str(exc)) from None
-    try:
-        return dynamics.SimConfig(grid, group, spec, nu0, gamma0, dt, steps, cadence)
-    except ValueError as exc:
-        raise ConfigError("time.dt", str(exc)) from None
+    # An overflow here ends in a non-finite field or bound that is rejected
+    # below, so the exit-2 line is the only report of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            nu0 = _make_nu(grid, group, nu_cfg)
+        except ValueError as exc:
+            raise ConfigError("init.nu", str(exc)) from None
+        try:
+            gamma0 = _make_gamma(grid, group, gamma_cfg)
+        except ValueError as exc:
+            raise ConfigError("gamma0", str(exc)) from None
+        try:
+            return dynamics.SimConfig(grid, group, spec, nu0, gamma0, dt, steps, cadence)
+        except ValueError as exc:
+            raise ConfigError("time.dt", str(exc)) from None
 
 
 def _make_nu(grid, group, cfg):
@@ -172,10 +177,6 @@ def _make_gamma(grid, group, cfg):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _sample_steps(steps, cadence):
-    return sorted(set(list(range(0, steps + 1, cadence)) + [steps]))
 
 
 def trajectory_rows(spec, traj, steps):
@@ -257,11 +258,10 @@ def run_simulate(config_path, outdir) -> int:
         print(f"error: output directory: {problem}", file=sys.stderr)
         return 2
 
-    samples = set(_sample_steps(cfg.steps, cfg.cadence))
     rows = []
 
     def visit(window, n):
-        if n in samples:
+        if n % cfg.cadence == 0 or n == cfg.steps:
             rows.extend(trajectory_rows(cfg.spec, window, [n]))
             _write_state(outdir, window, n)
 

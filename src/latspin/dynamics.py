@@ -57,6 +57,7 @@ from .lattice import (
     NonFiniteError,
     div_dual,
     l2_pair,
+    max_row_norm,
 )
 from .lie import MatrixGroup
 
@@ -512,15 +513,12 @@ def _compatibility(traj, n) -> dict:
     s = traj.states[n]
     dgamma = _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
     adv = dgamma + cov_diff(s.gamma, s.nu).comps
-    advection_residual = float(np.max(np.linalg.norm(adv, axis=-1), initial=0.0))
     gap = np.nan
     if traj.group_path is not None:
         closed = advect_exact(traj.group_path[n], traj.gamma0)
-        gap = float(
-            np.max(np.linalg.norm(s.gamma.comps - closed.comps, axis=-1), initial=0.0)
-        )
+        gap = max_row_norm(s.gamma.comps - closed.comps)
     return {
-        "advection_residual": advection_residual,
+        "advection_residual": max_row_norm(adv),
         "curvature_max": curvature_max(s.gamma),
         "exact_advect_gap": gap,
     }

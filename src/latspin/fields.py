@@ -24,6 +24,7 @@ from .lattice import (
     cdiff_array,
     d_array,
     div_array,
+    max_row_norm,
 )
 
 __all__ = [
@@ -150,8 +151,7 @@ def curvature(gamma: ConnectionForm) -> np.ndarray:
 
 def curvature_max(gamma: ConnectionForm) -> float:
     """Largest pointwise kappa-norm of the field strength."""
-    f = curvature(gamma)
-    return float(np.max(np.linalg.norm(f, axis=-1), initial=0.0))
+    return max_row_norm(curvature(gamma))
 
 
 def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:

@@ -28,6 +28,7 @@ __all__ = [
     "GroupField",
     "ConnectionForm",
     "DualVectorField",
+    "max_row_norm",
     "central_diff",
     "d_array",
     "div_array",
@@ -98,6 +99,14 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
 
+def max_row_norm(arr) -> float:
+    """Largest Euclidean norm over the last axis (0.0 for an empty array).
+
+    In the kappa-orthonormal basis this is the largest pointwise kappa-norm.
+    """
+    return float(np.max(np.linalg.norm(arr, axis=-1), initial=0.0))
+
+
 def _check_same_grid(a, b):
     if a.grid != b.grid or a.group is not b.group:
         raise GridMismatchError("fields live on different grids or groups")
@@ -127,7 +136,7 @@ class AlgebraField:
         return AlgebraField(self.grid, self.group, self.values.copy())
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=-1), initial=0.0))
+        return max_row_norm(self.values)
 
 
 @dataclass
@@ -151,7 +160,7 @@ class DualField:
         return cls(grid, group, np.zeros(grid.sizes + (group.algebra_dim,)))
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=-1), initial=0.0))
+        return max_row_norm(self.values)
 
 
 @dataclass
@@ -210,7 +219,7 @@ class ConnectionForm:
         return ConnectionForm(self.grid, self.group, self.comps.copy())
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.comps, axis=-1), initial=0.0))
+        return max_row_norm(self.comps)
 
 
 @dataclass
@@ -234,7 +243,7 @@ class DualVectorField:
         return cls(grid, group, np.zeros((grid.dim,) + grid.sizes + (group.algebra_dim,)))
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.comps, axis=-1), initial=0.0))
+        return max_row_norm(self.comps)
 
 
 # -- operators ---------------------------------------------------------------

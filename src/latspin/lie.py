@@ -1,4 +1,4 @@
-"""Matrix Lie group kernel: bracket, adjoint/coadjoint actions, exp/log, metric duality.
+"""Matrix Lie group kernel: bracket, adjoint/coadjoint actions, exp/log.
 
 Conventions
 -----------
@@ -18,39 +18,20 @@ code path serves single elements and whole lattice fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "DescriptorMismatchError",
     "MembershipError",
     "LogBranchError",
-    "ProjectionError",
     "MatrixGroup",
     "so3",
     "generic_matrix_subgroup",
-    "AlgebraElement",
-    "DualAlgebraElement",
-    "GroupElement",
-    "bracket",
-    "ad_star",
-    "Ad",
-    "exp_map",
-    "log_map",
-    "metric_dual",
-    "project_group",
 ]
 
 STRUCTURE_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-12
 SO3_MEMBERSHIP_TOL = 1e-9
 SO3_LOG_ANGLE_MARGIN = 1e-6
-PROJECTION_RADIUS = 0.1
-
-
-class DescriptorMismatchError(ValueError):
-    """Operands belong to different group descriptors."""
 
 
 class MembershipError(ValueError):
@@ -59,10 +40,6 @@ class MembershipError(ValueError):
 
 class LogBranchError(ValueError):
     """Group element lies at or beyond the injectivity radius of exp."""
-
-
-class ProjectionError(ValueError):
-    """Matrix is too far from the group to project."""
 
 
 def _so3_basis() -> np.ndarray:
@@ -76,12 +53,12 @@ def _so3_basis() -> np.ndarray:
 class MatrixGroup:
     """Descriptor for a matrix group G with a kappa-orthonormal algebra basis.
 
-    The descriptor owns every array-level kernel; element wrappers and lattice
-    fields delegate here so there is a single implementation per operation.
+    The descriptor owns every array-level kernel; lattice fields delegate here
+    so there is a single implementation per operation.
     """
 
     def __init__(self, name, basis, kappa_weight, is_so3=False,
-                 exp_fn=None, log_fn=None, membership_fn=None, project_fn=None):
+                 exp_fn=None, log_fn=None, membership_fn=None):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
@@ -94,7 +71,6 @@ class MatrixGroup:
         self.exp_fn = exp_fn
         self.log_fn = log_fn
         self.membership_fn = membership_fn
-        self.project_fn = project_fn
         self._check_orthonormal()
         self.structure = self._structure_tensor()
 
@@ -223,31 +199,6 @@ class MatrixGroup:
         out[...] = self.to_coeffs(logs.reshape(gmats.shape))
         return out
 
-    def project_arr(self, mats) -> np.ndarray:
-        """Nearest group element (polar decomposition for SO3)."""
-        mats = np.asarray(mats, float)
-        if self.project_fn is not None:
-            return np.asarray(self.project_fn(mats), float)
-        if not self.is_so3:
-            raise ProjectionError(
-                f"group projection is not available for {self.name}"
-            )
-        u, _, vt = np.linalg.svd(mats)
-        rot = u @ vt
-        # det == -1 cannot occur within the projection radius; guard anyway.
-        bad = np.linalg.det(rot) < 0
-        if np.any(bad):
-            u = np.array(u)
-            u[bad, ..., :, -1] *= -1.0
-            rot = u @ vt
-        dist = np.linalg.norm(mats - rot, axis=(-2, -1))
-        if np.max(dist) > PROJECTION_RADIUS:
-            raise ProjectionError(
-                f"matrix is {np.max(dist):.3e} from {self.name}, beyond the "
-                f"projection radius {PROJECTION_RADIUS}"
-            )
-        return rot
-
     def identity(self) -> np.ndarray:
         return np.eye(self.matrix_dim)
 
@@ -353,16 +304,14 @@ def so3() -> MatrixGroup:
 
 
 def generic_matrix_subgroup(name, basis, kappa_weight, exp_fn=None, log_fn=None,
-                            membership_fn=None, project_fn=None) -> MatrixGroup:
+                            membership_fn=None) -> MatrixGroup:
     """Descriptor for a matrix subgroup given a kappa-orthonormal algebra basis.
 
-    Closed-form exp/log, a membership test and a projection may be supplied;
-    exp falls back to scaling-and-squaring and log to the real matrix
-    logarithm otherwise.
+    Closed-form exp/log and a membership test may be supplied; exp falls back
+    to scaling-and-squaring and log to the real matrix logarithm otherwise.
     """
     return MatrixGroup(name, basis, kappa_weight, is_so3=False, exp_fn=exp_fn,
-                       log_fn=log_fn, membership_fn=membership_fn,
-                       project_fn=project_fn)
+                       log_fn=log_fn, membership_fn=membership_fn)
 
 
 def group_by_name(name: str) -> MatrixGroup:
@@ -370,117 +319,3 @@ def group_by_name(name: str) -> MatrixGroup:
         return so3()
     raise ValueError(f"unknown group name {name!r}")
 
-
-# -- element-level wrappers ------------------------------------------------
-
-
-def _require_finite(coeffs):
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("algebra coefficients must be finite")
-
-
-def _require_same_group(a, b):
-    if a.group is not b.group:
-        raise DescriptorMismatchError(
-            f"operands belong to different descriptors "
-            f"({a.group.name!r} vs {b.group.name!r})"
-        )
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of the Lie algebra in the fixed orthonormal basis."""
-
-    group: MatrixGroup
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))
-        if self.coeffs.shape != (self.group.algebra_dim,):
-            raise ValueError("coefficient vector has the wrong length")
-        _require_finite(self.coeffs)
-
-    def matrix(self) -> np.ndarray:
-        return self.group.hat(self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class DualAlgebraElement:
-    """Element of the dual algebra in the dual basis."""
-
-    group: MatrixGroup
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, float))
-        if self.coeffs.shape != (self.group.algebra_dim,):
-            raise ValueError("coefficient vector has the wrong length")
-        _require_finite(self.coeffs)
-
-    def pair(self, xi: AlgebraElement) -> float:
-        _require_same_group(self, xi)
-        return float(self.coeffs @ xi.coeffs)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Matrix representative of a group element; membership checked on construction."""
-
-    group: MatrixGroup
-    matrix: np.ndarray
-    validate: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, float))
-        n = self.group.matrix_dim
-        if self.matrix.shape != (n, n):
-            raise ValueError("group matrix has the wrong shape")
-        if self.validate:
-            self.group.check_membership(self.matrix)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse_arr(self.matrix), validate=False)
-
-
-def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [xi, eta] = xi eta - eta xi, re-expanded in the basis."""
-    _require_same_group(xi, eta)
-    return AlgebraElement(xi.group, xi.group.bracket_arr(xi.coeffs, eta.coeffs))
-
-
-def ad_star(xi: AlgebraElement, mu: DualAlgebraElement) -> DualAlgebraElement:
-    """Coadjoint action: the unique mu' with <mu', eta> = <mu, [xi, eta]>."""
-    _require_same_group(xi, mu)
-    return DualAlgebraElement(xi.group, xi.group.ad_star_arr(xi.coeffs, mu.coeffs))
-
-
-def Ad(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
-    """Adjoint action g xi g^-1."""
-    _require_same_group(g, xi)
-    return AlgebraElement(xi.group, g.group.ad_arr(g.matrix, xi.coeffs))
-
-
-def exp_map(xi: AlgebraElement) -> GroupElement:
-    return GroupElement(xi.group, xi.group.exp_arr(xi.coeffs), validate=False)
-
-
-def log_map(g: GroupElement) -> AlgebraElement:
-    """Principal logarithm; raises LogBranchError at the cut locus."""
-    return AlgebraElement(g.group, g.group.log_arr(g.matrix))
-
-
-def metric_dual(x):
-    """Flat/sharp isomorphism via kappa; a coefficient identity in this basis."""
-    if isinstance(x, AlgebraElement):
-        return DualAlgebraElement(x.group, x.coeffs.copy())
-    if isinstance(x, DualAlgebraElement):
-        return AlgebraElement(x.group, x.coeffs.copy())
-    raise TypeError("metric_dual expects an AlgebraElement or DualAlgebraElement")
-
-
-def project_group(group: MatrixGroup, mat) -> GroupElement:
-    """Nearest group element to a raw matrix (polar decomposition for SO3)."""
-    return GroupElement(group, group.project_arr(np.asarray(mat, float)), validate=False)

@@ -76,6 +76,7 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
     pytest.param(lambda c: c["time"].update(dt="abc"), "time.dt", id="dt-string"),
     pytest.param(lambda c: c["time"].update(dt=None), "time.dt", id="dt-null"),
     pytest.param(lambda c: c["time"].update(steps=1.7), "time.steps", id="steps-fraction"),
+    pytest.param(lambda c: c["time"].update(steps=2**70), "time.steps", id="steps-overflow"),
     pytest.param(lambda c: c["output"].update(cadence="x"), "output.cadence",
                  id="cadence-string"),
     pytest.param(lambda c: c["grid"].update(dim="x"), "grid.dim", id="dim-string"),
@@ -86,13 +87,22 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
     pytest.param(lambda c: c.update(output=[1]), "output", id="output-list"),
     pytest.param(lambda c: c.update(gamma0=[1]), "gamma0", id="gamma0-list"),
     pytest.param(lambda c: c.update(lagrangian=["x"]), "lagrangian", id="lagrangian-list"),
+    # overflowing profiles: no numpy warning may precede the error line
+    pytest.param(lambda c: c["init"]["nu"].update(amplitude=1e308), "time.dt",
+                 id="nu-amplitude-overflow"),
+    pytest.param(lambda c: c["grid"].update(spacing=[1e308]), "init.nu",
+                 id="spacing-overflow"),
+    pytest.param(lambda c: c.update(gamma0={"profile": "pure_gauge", "modes": 2,
+                                            "amplitude": 1e308, "seed": 2}),
+                 "gamma0", id="pure-gauge-amplitude-overflow"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))
     mutate(cfg)
     proc = run_cli(["simulate", write_config(tmp_path, cfg), str(tmp_path / "out")])
     assert proc.returncode == 2
-    assert key in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and key in lines[0], proc.stderr
 
 
 # -- simulate --------------------------------------------------------------------
@@ -265,7 +275,7 @@ def test_streamed_outputs_equal_the_collected_trajectory(tmp_path, raw):
     expected.mkdir()
     cfg = cli.parse_config(raw)
     traj = dynamics.simulate(cfg)
-    samples = cli._sample_steps(traj.steps, cfg.cadence)
+    samples = sorted(set(range(0, traj.steps + 1, cfg.cadence)) | {traj.steps})
     rows = cli.trajectory_rows(cfg.spec, traj, samples)
     cli.write_series(str(expected / "series.csv"), rows)
     for n in samples:

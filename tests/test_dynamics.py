@@ -365,6 +365,21 @@ def test_covariant_residual_second_order(spec, g):
     assert np.all(orders > 1.7)
 
 
+def test_covariant_residual_second_order_in_dt_with_both_ad_star_terms(g):
+    # spin_glass makes both ad* terms of the right-hand side vanish; the
+    # anisotropic density keeps them, so a sign or ordering defect in either
+    # one stalls the residual at O(1) instead of O(dt^2)
+    spec = anisotropic_spec()
+    grid = Grid((16, 12), (1.0 / 16, 1.0 / 12))
+    nu0 = fourier_algebra_field(grid, g, 2, 0.5, 3)
+    gamma0 = fourier_connection(grid, g, 2, 0.4, 4)
+    worsts = [covariant_residual_max(spec, simulate(
+        SimConfig(grid, g, spec, nu0, gamma0, 0.08 / steps, steps)))
+        for steps in (8, 16, 32)]
+    orders = np.log2(np.array(worsts[:-1]) / worsts[1:])
+    assert np.all(orders >= 1.7), (worsts, orders)
+
+
 # -- variational residual ---------------------------------------------------------------
 
 
