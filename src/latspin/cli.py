@@ -22,6 +22,7 @@ from .lattice import (
     ConnectionForm,
     DualVectorField,
     Grid,
+    NonFiniteError,
     d_alg,
     div_dual,
     l2_pair,
@@ -138,18 +139,40 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
     # An overflow here ends in a non-finite field or bound that is rejected
     # below, so the exit-2 line is the only report of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            nu0 = _make_nu(grid, group, nu_cfg)
-        except ValueError as exc:
-            raise ConfigError("init.nu", str(exc)) from None
-        try:
-            gamma0 = _make_gamma(grid, group, gamma_cfg)
-        except ValueError as exc:
-            raise ConfigError("gamma0", str(exc)) from None
+        nu0 = _profile_field(grid, group, "init.nu", nu_cfg, _make_nu)
+        gamma0 = _profile_field(grid, group, "gamma0", gamma_cfg, _make_gamma)
         try:
             return dynamics.SimConfig(grid, group, spec, nu0, gamma0, dt, steps, cadence)
         except ValueError as exc:
             raise ConfigError("time.dt", str(exc)) from None
+
+
+def _profile_field(grid, group, key, cfg, make):
+    """make(grid, group, cfg) if its values and max norm are finite.
+
+    Otherwise the ConfigError names the key at fault: the amplitude when the
+    same profile is finite at unit amplitude, else the grid spacing, whose
+    coordinates then overflow.
+    """
+    def finite(profile_cfg):
+        try:
+            field = make(grid, group, profile_cfg)
+        except NonFiniteError:
+            return None
+        return field if math.isfinite(field.max_norm()) else None
+
+    try:
+        field = finite(cfg)
+        if field is not None:
+            return field
+        unit_ok = finite(dict(cfg, amplitude=1.0)) is not None
+    except ValueError as exc:  # modes out of range for the grid
+        raise ConfigError(f"{key}.modes", str(exc)) from None
+    if unit_ok:
+        raise ConfigError(f"{key}.amplitude", "the profile overflows (non-finite "
+                          "values or norm)")
+    raise ConfigError("grid.spacing", f"the {key} profile overflows at unit "
+                      "amplitude: the axis coordinates N*h are too large")
 
 
 def _make_nu(grid, group, cfg):

@@ -55,16 +55,22 @@ class DensitySpec:
     kinetic_invertible asserts that sigma1 -> d_sigma1 is an invertible
     site-local linear map (independent of t and sigma2); kinetic_inverse, when
     given, applies its inverse to dual coefficients.
+
+    isotropic asserts that d_sigma1 and each axis of d_sigma2 are, site by
+    site, scalar multiples of sigma1 and sigma2_i. They are then flat maps of
+    the ad-invariant kappa up to scale, so ad*_{sigma1}(d_sigma1) and
+    sum_i ad*_{sigma2_i}(d_sigma2)_i vanish identically and aep_rhs skips them.
     """
 
     def __init__(self, name, value, d_sigma1, d_sigma2,
-                 kinetic_invertible=True, kinetic_inverse=None):
+                 kinetic_invertible=True, kinetic_inverse=None, isotropic=False):
         self.name = name
         self.value = value
         self.d_sigma1 = d_sigma1
         self.d_sigma2 = d_sigma2
         self.kinetic_invertible = bool(kinetic_invertible)
         self.kinetic_inverse = kinetic_inverse
+        self.isotropic = bool(isotropic)
 
     def invert_kinetic(self, rho, t=0.0, dim=1):
         """Apply the inverse of sigma1 -> d_sigma1 to dual coefficients rho."""
@@ -80,9 +86,11 @@ class DensitySpec:
         return np.linalg.solve(kmat, rho[..., None])[..., 0]
 
     def self_test(self, dim, algebra_dim, seed=0, eps=1e-6):
-        """Check the declared fiber derivatives against central differences."""
+        """Check the declared fiber derivatives against central differences,
+        and, for an isotropic density, that they are parallel to their
+        arguments."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        worst = skew = 0.0
         for _ in range(5):
             s1 = rng.normal(size=(algebra_dim,))
             s2 = rng.normal(size=(dim, algebra_dim))
@@ -101,10 +109,20 @@ class DensitySpec:
                     bump[i, a] = eps
                     fd = (self.value(t, s1, s2 + bump) - self.value(t, s1, s2 - bump)) / (2 * eps)
                     worst = max(worst, abs(fd - g2[i, a]) / scale)
+            if self.isotropic:
+                for s, g in ((s1, g1), *zip(s2, g2)):
+                    perp = g - (g @ s) / (s @ s) * s
+                    skew = max(skew, np.max(np.abs(perp)) / scale)
         if worst > SELF_TEST_TOL:
             raise ValueError(
                 f"density {self.name!r} fiber derivatives disagree with "
                 f"finite differences (relative error {worst:.3e})"
+            )
+        if skew > SELF_TEST_TOL:
+            raise ValueError(
+                f"density {self.name!r} is declared isotropic, but its fiber "
+                f"derivatives are not parallel to their arguments "
+                f"(relative defect {skew:.3e})"
             )
         return worst
 
@@ -126,6 +144,7 @@ def spin_glass_spec() -> DensitySpec:
     return DensitySpec(
         "spin_glass", value, d_sigma1, d_sigma2,
         kinetic_invertible=True, kinetic_inverse=lambda rho: np.array(rho, copy=True),
+        isotropic=True,
     )
 
 

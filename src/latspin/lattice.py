@@ -103,8 +103,10 @@ def max_row_norm(arr) -> float:
     """Largest Euclidean norm over the last axis (0.0 for an empty array).
 
     In the kappa-orthonormal basis this is the largest pointwise kappa-norm.
+    The row norms are the expression np.linalg.norm(arr, axis=-1) evaluates
+    for a real array, without its dispatch.
     """
-    return float(np.max(np.linalg.norm(arr, axis=-1), initial=0.0))
+    return float(np.max(np.sqrt(np.add.reduce(arr * arr, axis=-1)), initial=0.0))
 
 
 def _check_same_grid(a, b):

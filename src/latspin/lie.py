@@ -73,6 +73,7 @@ class MatrixGroup:
         self.membership_fn = membership_fn
         self._check_orthonormal()
         self.structure = self._structure_tensor()
+        self._check_ad_invariant()
 
     # -- descriptor validation -------------------------------------------------
 
@@ -98,6 +99,15 @@ class MatrixGroup:
                 f"algebra basis does not close under the bracket (defect {defect:.3e})"
             )
         return c
+
+    def _check_ad_invariant(self):
+        # kappa([e_a, e_b], e_c) = -kappa(e_b, [e_a, e_c]) is C_abc = -C_acb:
+        # with the antisymmetry in (a, b), the tensor is totally antisymmetric.
+        defect = np.max(np.abs(self.structure + np.swapaxes(self.structure, 1, 2)))
+        if defect > STRUCTURE_TOL:
+            raise ValueError(
+                f"kappa is not ad-invariant on this basis (defect {defect:.3e})"
+            )
 
     # -- coefficient/matrix conversion ----------------------------------------
 
@@ -264,11 +274,26 @@ def _sinc_like(theta2):
 
 
 def _so3_exp(coeffs, k) -> np.ndarray:
-    """Rodrigues formula; k is the hat matrix of coeffs."""
+    """Rodrigues formula I + a k + b k^2; k is the hat matrix of coeffs.
+
+    Built in one buffer as a k + I + b (k @ k), the same sums as
+    eye + a k + b (k @ k). Without a small angle, a and b are the quotients
+    of the large-angle branch of _sinc_like, with no np.where.
+    """
     theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
-    a, b = _sinc_like(theta2)
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    theta = np.sqrt(theta2)
+    if np.any(theta < 1e-4):
+        a, b = _sinc_like(theta2)
+    else:
+        with np.errstate(invalid="ignore"):
+            a = np.sin(theta) / theta
+            b = (1.0 - np.cos(theta)) / theta2
+    out = a[..., None, None] * k
+    out += np.eye(3)
+    kk = k @ k
+    kk *= b[..., None, None]
+    out += kk
+    return out
 
 
 def _so3_log(gmats) -> np.ndarray:

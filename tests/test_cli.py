@@ -88,13 +88,23 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
     pytest.param(lambda c: c.update(gamma0=[1]), "gamma0", id="gamma0-list"),
     pytest.param(lambda c: c.update(lagrangian=["x"]), "lagrangian", id="lagrangian-list"),
     # overflowing profiles: no numpy warning may precede the error line
-    pytest.param(lambda c: c["init"]["nu"].update(amplitude=1e308), "time.dt",
+    pytest.param(lambda c: c["init"]["nu"].update(amplitude=1e308), "init.nu.amplitude",
                  id="nu-amplitude-overflow"),
-    pytest.param(lambda c: c["grid"].update(spacing=[1e308]), "init.nu",
+    pytest.param(lambda c: c["grid"].update(spacing=[1e308]), "grid.spacing",
                  id="spacing-overflow"),
     pytest.param(lambda c: c.update(gamma0={"profile": "pure_gauge", "modes": 2,
                                             "amplitude": 1e308, "seed": 2}),
                  "gamma0", id="pure-gauge-amplitude-overflow"),
+    pytest.param(lambda c: c.update(gamma0={"profile": "fourier", "modes": 2,
+                                            "amplitude": 1e308, "seed": 2}),
+                 "gamma0.amplitude", id="fourier-gamma-amplitude-overflow"),
+    # values finite, but their squares overflow the norm
+    pytest.param(lambda c: c["init"]["nu"].update(amplitude=1e200), "init.nu.amplitude",
+                 id="nu-norm-overflow"),
+    pytest.param(lambda c: c.update(grid={"dim": 2, "sizes": [8, 8], "spacing": [0.1, 1e308]}),
+                 "grid.spacing", id="spacing-overflow-2d"),
+    pytest.param(lambda c: c["init"]["nu"].update(modes=99), "init.nu.modes",
+                 id="modes-above-grid-limit"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))

@@ -162,7 +162,71 @@ def test_array_rhs_matches_the_container_formula_bit_for_bit(g, sizes, generic, 
         assert np.array_equal(np.signbit(have), np.signbit(want))
 
 
+def test_isotropic_declaration_is_checked_by_the_self_test():
+    spec = anisotropic_spec()
+    spec.self_test(dim=2, algebra_dim=3)
+    spec.isotropic = True
+    with pytest.raises(ValueError, match="'anisotropic' is declared isotropic"):
+        spec.self_test(dim=2, algebra_dim=3)
+
+
+def scaled_isotropic_spec():
+    """Isotropic but not spin_glass: inertia 2 and stiffness 3 on every axis."""
+
+    def value(t, s1, s2):
+        kin = np.einsum("...a,...a->...", s1, s1)
+        return kin - 1.5 * np.einsum("i...a,i...a->...", s2, s2)
+
+    return DensitySpec("scaled", value, lambda t, s1, s2: 2.0 * s1,
+                       lambda t, s1, s2: -3.0 * s2,
+                       kinetic_inverse=lambda rho: rho / 2.0, isotropic=True)
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_skipped_ad_star_terms_vanish_for_a_scaled_isotropic_density(g, generic):
+    # the skip is exact in exact arithmetic; with factors other than +-1 the
+    # full formula's ad* terms are roundoff, not +0.0
+    spec = scaled_isotropic_spec()
+    spec.self_test(dim=2, algebra_dim=3)
+    group = generic_matrix_subgroup("so3-generic", g.basis, 0.5) if generic else g
+    grid = Grid((16, 12), (1.0 / 16, 1.0 / 12))
+    nu = fourier_algebra_field(grid, group, 2, 0.7, 5)
+    gamma = fourier_connection(grid, group, 2, 0.6, 6)
+    got = aep_rhs(spec, 0.0, grid, group, nu.values, gamma.comps)
+    want = container_rhs(spec, 0.0, ReducedState(nu, gamma, 0.0))
+    for have, full in zip(got, want):
+        assert np.allclose(have, full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
+
+
 # -- RK4 -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 12)])
+@pytest.mark.parametrize("density", [spin_glass_spec, anisotropic_spec])
+def test_rk4_step_matches_the_textbook_formula_bit_for_bit(g, sizes, density):
+    spec = density()
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    nu = fourier_algebra_field(grid, g, 2, 0.7, 7).values
+    gamma = fourier_connection(grid, g, 2, 0.6, 8).comps
+    nu[1], gamma[:, 2] = 0.0, -0.0
+    t, dt = 0.3, 0.01
+
+    def f(tt, y):
+        return aep_rhs(spec, tt, grid, g, *y)
+
+    y = (nu, gamma)
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, [a + 0.5 * dt * k for a, k in zip(y, k1)])
+    k3 = f(t + 0.5 * dt, [a + 0.5 * dt * k for a, k in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
+    want = [a + dt / 6.0 * (p + 2 * q + 2 * r + w)
+            for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
+    s = ReducedState(AlgebraField(grid, g, nu), ConnectionForm(grid, g, gamma), t)
+    out = rk4_step(spec, t, s, dt)
+    for have, expect in zip((out.nu.values, out.gamma.comps), want):
+        assert np.array_equal(have, expect)
+        assert np.array_equal(np.signbit(have), np.signbit(expect))
+    assert out.t == t + dt
 
 
 def test_rk4_zero_state_fixed_point(spec, g, grid32):

@@ -21,6 +21,7 @@ from latspin.lattice import (
     field_from_snapshot,
     integrate,
     l2_pair,
+    max_row_norm,
     right_log_derivative,
     snapshot,
 )
@@ -106,6 +107,39 @@ def test_cdiff_array_matches_roll_formula_bit_for_bit(shape, axes, layout):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.any((want == 0.0) & np.signbit(want))
+
+
+def _norm_rows(shape, fill=None):
+    arr = np.random.default_rng(9).normal(size=shape)
+    if fill is not None:
+        arr.reshape(-1, shape[-1])[::2] = fill
+    return arr
+
+
+@pytest.mark.parametrize("arr", [
+    pytest.param(np.zeros((0, 3)), id="empty-rows"),
+    pytest.param(np.zeros((3, 0)), id="empty-last-axis"),
+    pytest.param(np.zeros((2, 0, 3)), id="empty-middle-axis"),
+    pytest.param(np.zeros((0,)), id="empty-1d"),
+    pytest.param(_norm_rows((32, 3)), id="chain"),
+    pytest.param(_norm_rows((2, 64, 64, 3)), id="connection-64x64"),
+    pytest.param(_norm_rows((32, 3), 0.0), id="zero-rows"),
+    pytest.param(_norm_rows((32, 3), -0.0), id="negative-zero-rows"),
+    pytest.param(_norm_rows((32, 3), 2e150), id="rows-near-1e150"),
+    # the squares overflow to inf
+    pytest.param(_norm_rows((32, 3), 3e154), id="squares-overflow"),
+    pytest.param(_norm_rows((16, 3)) * 1e155, id="all-squares-overflow"),
+    pytest.param(_norm_rows((32, 3), np.nan), id="nan-rows"),
+    pytest.param(_norm_rows((32, 3), np.inf), id="inf-rows"),
+    pytest.param(np.array([[np.nan, 1e155, 0.0]]), id="nan-and-overflow"),
+])
+def test_max_row_norm_matches_linalg_norm_bit_for_bit(arr):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = max_row_norm(arr)
+        want = float(np.max(np.linalg.norm(arr, axis=-1), initial=0.0))
+    assert type(got) is float
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(got) == np.signbit(want)
 
 
 def test_central_diff_summation_by_parts(g, grid32):

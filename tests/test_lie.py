@@ -178,6 +178,53 @@ def test_exp_matches_rodrigues(g):
         assert np.allclose(g.exp_arr(v), rodrigues(v, angle), atol=1e-12)
 
 
+def rodrigues_where(coeffs, k):
+    # the Rodrigues formula as an expression: both branches of the sinc
+    # factors under np.where, then eye + a k + b k^2
+    theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-4
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
+                     np.sin(theta) / np.where(small, 1.0, theta))
+        b = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
+                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
+    eye = np.broadcast_to(np.eye(3), k.shape)
+    return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
+
+
+def _exp_coeffs(shape, kind):
+    x = np.random.default_rng(17).normal(size=shape)
+    rows = x.reshape(-1, 3)
+    if kind == "small":
+        rows *= 1e-5
+    elif kind == "mixed":
+        rows[::3] *= 1e-5
+    if kind != "large" and rows.shape[0] > 1:
+        rows[1::4], rows[2::4] = 0.0, -0.0
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3,), (32, 3), (2, 64, 64, 3)])
+@pytest.mark.parametrize("kind", ["small", "large", "mixed", "zero", "negative-zero"])
+def test_so3_exp_matches_the_rodrigues_expression_bit_for_bit(g, shape, kind):
+    if kind in ("zero", "negative-zero"):
+        x = np.full(shape, 0.0 if kind == "zero" else -0.0)
+    else:
+        x = _exp_coeffs(shape, kind)
+    angles = np.linalg.norm(x, axis=-1)
+    if kind == "large":  # the branch without np.where
+        assert np.all(angles >= 1e-4)
+    elif kind == "mixed" and shape != (3,):
+        assert np.any(angles < 1e-4) and np.any(angles >= 1e-4)
+    else:
+        assert np.any(angles < 1e-4)
+    got, want = g.exp_arr(x), rodrigues_where(x, g.hat(x))
+    assert got.shape == want.shape == shape[:-1] + (3, 3)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_log_identity_is_zero(g):
     assert np.max(np.abs(g.log_arr(np.eye(3)))) <= EXACT
 
@@ -231,6 +278,14 @@ def test_nonclosed_basis_rejected():
     bad[1] = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
     with pytest.raises(ValueError):
         generic_matrix_subgroup("bad", bad, 0.5)
+
+
+def test_non_ad_invariant_basis_rejected():
+    # aff(1): closed and kappa-orthonormal, but [X, Y] = Y gives C_XYY = 1,
+    # so kappa([X, Y], Y) = 1 while -kappa(Y, [X, Y]) = -1
+    aff = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="ad-invariant"):
+        generic_matrix_subgroup("aff1", aff, 1.0)
 
 
 def test_generic_descriptor_agrees_with_fast_path(g):
