@@ -166,8 +166,10 @@ def _profile_field(grid, group, key, cfg, make):
         if field is not None:
             return field
         unit_ok = finite(dict(cfg, amplitude=1.0)) is not None
-    except ValueError as exc:  # modes out of range for the grid
+    except dynamics.ModesError as exc:
         raise ConfigError(f"{key}.modes", str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
     if unit_ok:
         raise ConfigError(f"{key}.amplitude", "the profile overflows (non-finite "
                           "values or norm)")

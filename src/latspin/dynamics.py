@@ -64,6 +64,7 @@ from .lie import MatrixGroup
 
 __all__ = [
     "DivergenceError",
+    "ModesError",
     "Trajectory",
     "SimConfig",
     "StepWindow",
@@ -199,10 +200,14 @@ def _fourier_scalar(grid: Grid, modes: int, amplitude: float, rng) -> np.ndarray
     return out
 
 
+class ModesError(ValueError):
+    """A profile's mode count lies outside [1, min(N) // 4] for the grid."""
+
+
 def _check_modes(grid: Grid, modes: int):
     limit = min(grid.sizes) // 4
     if modes < 1 or modes > limit:
-        raise ValueError(f"modes must lie in [1, {limit}] for this grid")
+        raise ModesError(f"modes must lie in [1, {limit}] for this grid")
 
 
 def fourier_algebra_field(grid, group, modes, amplitude, seed) -> AlgebraField:
@@ -246,10 +251,13 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
     nu (sites..., d) and gamma (dim, sites..., d) are coefficient arrays; no
     field container is built, so the caller checks finiteness.
 
-    For an isotropic density delta l/delta nu is parallel to nu and each
-    delta l/delta gamma_i to gamma_i, so both ad* terms vanish and are not
-    computed; covariant_residual keeps them. For spin_glass on finite
-    arrays they are exactly +0.0, and subtracting +0.0 keeps every bit.
+    For a density that self_test measured isotropic, delta l/delta nu is
+    parallel to nu and each delta l/delta gamma_i to gamma_i, so both ad*
+    terms vanish and are not computed; covariant_residual keeps them. For
+    spin_glass on arrays whose products do not overflow they are exactly
+    +0.0, and subtracting +0.0 keeps every bit. Where the products overflow
+    they are NaN (inf - inf) and the skip leaves the rest finite, so a
+    diverging run may then fail at another step or with another cause.
     """
     w = delta_l_delta_gamma_array(spec, t, nu, gamma)
     if spec.isotropic:

@@ -261,33 +261,24 @@ def _so3_vee(m) -> np.ndarray:
     return out
 
 
-def _sinc_like(theta2):
-    """Stable sin(t)/t and (1-cos t)/t^2 for squared angles."""
-    theta = np.sqrt(theta2)
-    small = theta < 1e-4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
-                     np.sin(theta) / np.where(small, 1.0, theta))
-        b = np.where(small, 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    return a, b
-
-
 def _so3_exp(coeffs, k) -> np.ndarray:
     """Rodrigues formula I + a k + b k^2; k is the hat matrix of coeffs.
 
-    Built in one buffer as a k + I + b (k @ k), the same sums as
-    eye + a k + b (k @ k). Without a small angle, a and b are the quotients
-    of the large-angle branch of _sinc_like, with no np.where.
+    a = sin(t)/t and b = (1-cos t)/t^2 are the quotients, overwritten by
+    their series where the angle t is below 1e-4. The sum is built in one
+    buffer as a k + I + b (k @ k), the same sums as eye + a k + b (k @ k).
     """
-    theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
+    # np.asarray: for one element these are numpy scalars, which the masked
+    # writes below cannot index
+    theta2 = np.asarray(np.einsum("...a,...a->...", coeffs, coeffs))
     theta = np.sqrt(theta2)
-    if np.any(theta < 1e-4):
-        a, b = _sinc_like(theta2)
-    else:
-        with np.errstate(invalid="ignore"):
-            a = np.sin(theta) / theta
-            b = (1.0 - np.cos(theta)) / theta2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.asarray(np.sin(theta) / theta)
+        b = np.asarray((1.0 - np.cos(theta)) / theta2)
+    small = theta < 1e-4
+    t2 = theta2[small]
+    a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
     out = a[..., None, None] * k
     out += np.eye(3)
     kk = k @ k

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latspin import cli, dynamics
-from latspin.lie import so3
+from latspin.lie import LogBranchError, so3
 
 REFERENCE_CONFIG = {
     "grid": {"dim": 1, "sizes": [32], "spacing": [1.0 / 32]},
@@ -113,6 +113,19 @@ def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and key in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize("error", [ValueError("bad shape"), LogBranchError("at the cut locus")],
+                         ids=["value-error", "log-branch"])
+def test_profile_errors_other_than_modes_name_the_profile_key(error):
+    # only dynamics.ModesError names <key>.modes (modes-above-grid-limit above)
+    def make(grid, group, cfg):
+        raise error
+
+    with pytest.raises(cli.ConfigError) as info:
+        cli._profile_field(None, None, "init.nu", {"amplitude": 1.0}, make)
+    assert info.value.key == "init.nu"
+    assert str(error) in str(info.value)
 
 
 # -- simulate --------------------------------------------------------------------

@@ -29,6 +29,7 @@ from latspin.lagrangian import (
     DensitySpec,
     delta_l_delta_gamma,
     delta_l_delta_nu,
+    get_spec,
     spin_glass_spec,
 )
 from latspin.lattice import (
@@ -162,14 +163,6 @@ def test_array_rhs_matches_the_container_formula_bit_for_bit(g, sizes, generic, 
         assert np.array_equal(np.signbit(have), np.signbit(want))
 
 
-def test_isotropic_declaration_is_checked_by_the_self_test():
-    spec = anisotropic_spec()
-    spec.self_test(dim=2, algebra_dim=3)
-    spec.isotropic = True
-    with pytest.raises(ValueError, match="'anisotropic' is declared isotropic"):
-        spec.self_test(dim=2, algebra_dim=3)
-
-
 def scaled_isotropic_spec():
     """Isotropic but not spin_glass: inertia 2 and stiffness 3 on every axis."""
 
@@ -179,7 +172,45 @@ def scaled_isotropic_spec():
 
     return DensitySpec("scaled", value, lambda t, s1, s2: 2.0 * s1,
                        lambda t, s1, s2: -3.0 * s2,
-                       kinetic_inverse=lambda rho: rho / 2.0, isotropic=True)
+                       kinetic_inverse=lambda rho: rho / 2.0)
+
+
+@pytest.mark.parametrize("density, isotropic", [
+    (spin_glass_spec, True), (scaled_isotropic_spec, True), (anisotropic_spec, False),
+])
+def test_self_test_measures_isotropy(density, isotropic):
+    spec = density()
+    assert spec.isotropic is False  # unmeasured: aep_rhs runs the full formula
+    spec.isotropic = not isotropic  # a wrong flag is overwritten by the measurement
+    spec.self_test(dim=2, algebra_dim=3)
+    assert spec.isotropic is isotropic
+
+
+def test_registered_spin_glass_skips_the_ad_star_terms(g, grid32, monkeypatch):
+    calls = []
+    monkeypatch.setattr(g, "ad_star_arr", lambda *args: calls.append(args))
+    nu = fourier_algebra_field(grid32, g, 2, 0.7, 5).values
+    gamma = fourier_connection(grid32, g, 2, 0.6, 6).comps
+    aep_rhs(get_spec("spin_glass"), 0.0, grid32, g, nu, gamma)
+    assert calls == []
+
+
+def test_skip_keeps_finite_what_overflows_in_the_full_formula(g, grid32):
+    # At a row near 1e155 the skipped products nu_b nu_c - nu_c nu_b are
+    # inf - inf = NaN, while the rest of the right-hand side stays finite.
+    # A run diverging this way may fail at a later step, or with another
+    # cause, than it would with the full formula.
+    spec = spin_glass_spec()
+    spec.self_test(dim=1, algebra_dim=3)
+    nu = fourier_algebra_field(grid32, g, 2, 0.7, 5)
+    gamma = fourier_connection(grid32, g, 2, 0.6, 6)
+    nu.values[3] = 1e155
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = aep_rhs(spec, 0.0, grid32, g, nu.values, gamma.comps)
+        full = container_rhs(spec, 0.0, ReducedState(nu, gamma, 0.0))
+    assert np.all(np.isfinite(got[0]))
+    assert np.all(np.isnan(full[0][3])) and np.all(np.isfinite(np.delete(full[0], 3, 0)))
+    assert np.array_equal(got[1], full[1])
 
 
 @pytest.mark.parametrize("generic", [False, True])

@@ -213,7 +213,7 @@ def test_so3_exp_matches_the_rodrigues_expression_bit_for_bit(g, shape, kind):
     else:
         x = _exp_coeffs(shape, kind)
     angles = np.linalg.norm(x, axis=-1)
-    if kind == "large":  # the branch without np.where
+    if kind == "large":  # no entry takes the series
         assert np.all(angles >= 1e-4)
     elif kind == "mixed" and shape != (3,):
         assert np.any(angles < 1e-4) and np.any(angles >= 1e-4)
