@@ -26,7 +26,7 @@ from .lattice import (
     d_alg,
     div_dual,
     l2_pair,
-    snapshot,
+    snapshot_arrays,
 )
 from .lie import group_by_name, so3
 
@@ -99,6 +99,9 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
         raise ConfigError("grid.spacing", f"must list {dim} entries")
     sizes = tuple(_number("grid.sizes", n, int) for n in sizes)
     spacing = tuple(_number("grid.spacing", h) for h in spacing)
+    if any(h < sys.float_info.min for h in spacing):
+        # a subnormal h overflows 1/(2h) in every centred difference
+        raise ConfigError("grid.spacing", f"entries must be at least {sys.float_info.min!r}")
     try:
         grid = Grid(sizes, spacing)
     except ValueError as exc:
@@ -226,13 +229,16 @@ def write_series(path, rows):
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
-def _write_json(fh, obj, chunk=4096):
+def _write_json(fh, obj, chunk=1024):
     """Write json.dumps(obj) for string-keyed obj without building it whole.
 
-    json.dump streams through the pure-Python encoder; one json.dumps of a
-    64x64 snapshot is about twice as fast but holds the whole document and its
-    number strings at once, which raises peak memory. Here the C encoder
-    writes each long list in chunks, with the same bytes as either.
+    A numpy array is written as its tolist(). One json.dumps of a 64x64
+    snapshot's list form is fast but holds that list, the document and its
+    number strings at once, which raises peak memory (json.dump holds less
+    but streams through the pure-Python encoder). Here the C encoder writes
+    each long list or array in chunks of `chunk` entries, and an array's
+    chunks are taken straight from it, so at most one chunk of a snapshot is
+    held as Python floats; the bytes are those of json.dumps.
     """
     if isinstance(obj, dict):
         fh.write("{")
@@ -240,19 +246,21 @@ def _write_json(fh, obj, chunk=4096):
             fh.write((", " if i else "") + json.dumps(key) + ": ")
             _write_json(fh, value, chunk)
         fh.write("}")
-    elif isinstance(obj, list) and len(obj) > chunk:
+    elif isinstance(obj, (list, np.ndarray)) and len(obj) > chunk:
         fh.write("[")
         for i in range(0, len(obj), chunk):
-            fh.write((", " if i else "") + json.dumps(obj[i:i + chunk])[1:-1])
+            part = json.dumps(obj[i:i + chunk], default=np.ndarray.tolist)
+            fh.write((", " if i else "") + part[1:-1])
         fh.write("]")
     else:
-        fh.write(json.dumps(obj))
+        fh.write(json.dumps(obj, default=np.ndarray.tolist))
 
 
 def _write_state(outdir, traj, n):
     """state_<n>.json: the time and snapshots of nu and gamma at step n."""
     state = traj.states[n]
-    snap = {"t": traj.times[n], "nu": snapshot(state.nu), "gamma": snapshot(state.gamma)}
+    snap = {"t": traj.times[n], "nu": snapshot_arrays(state.nu),
+            "gamma": snapshot_arrays(state.gamma)}
     with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
         _write_json(fh, snap)
 

@@ -36,7 +36,6 @@ from .fields import (
     cov_div_array,
     curvature_max,
     gauge_act,
-    jet_from_state,
     reconstruct_step,
 )
 from .lagrangian import (
@@ -258,7 +257,12 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
     +0.0, and subtracting +0.0 keeps every bit. Where the products overflow
     they are NaN (inf - inf) and the skip leaves the rest finite, so a
     diverging run may then fail at another step or with another cause.
+
+    gamma_dot comes first, so the temporaries of cov_diff are freed before
+    delta l/delta gamma exists. Both returned arrays are fresh.
     """
+    gamma_dot = cov_diff_array(grid, group, gamma, nu)
+    np.negative(gamma_dot, out=gamma_dot)
     w = delta_l_delta_gamma_array(spec, t, nu, gamma)
     if spec.isotropic:
         rho = div_array(w, grid.spacing)
@@ -266,32 +270,49 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
         rho = cov_div_array(grid, group, gamma, w)
         rho -= group.ad_star_arr(nu, delta_l_delta_nu_array(spec, t, nu, gamma))
     nu_dot = spec.invert_kinetic(rho, t=t, dim=grid.dim)
-    gamma_dot = -cov_diff_array(grid, group, gamma, nu)
     return nu_dot, gamma_dot
 
 
-def _rk4_sum(y, dt, k1, k2, k3, k4):
-    """y + dt/6 * (k1 + 2 k2 + 2 k3 + k4), with that association, in one accumulator."""
-    acc = k2 * 2
-    acc += k1
-    acc += k3 * 2
-    acc += k4
-    acc *= dt / 6.0
-    acc += y
-    return acc
+def _stage_input(y, h, k):
+    """y + h * k, with the bits of that expression, in the buffer of h * k."""
+    out = k * h
+    out += y
+    return out
+
+
+def _fold(k, acc, weight):
+    """The running sums weight * k + acc, formed in the buffers of k."""
+    for kf, a in zip(k, acc):
+        kf *= weight
+        kf += a
+    return k
 
 
 def _rk4_stages(spec, t, grid, group, nu, gamma, dt):
-    """Classical RK4 stage derivatives plus the two midpoint-stage velocities."""
-    k1 = aep_rhs(spec, t, grid, group, nu, gamma)
-    nu_a = nu + 0.5 * dt * k1[0]
-    k2 = aep_rhs(spec, t + 0.5 * dt, grid, group, nu_a, gamma + 0.5 * dt * k1[1])
-    nu_b = nu + 0.5 * dt * k2[0]
-    k3 = aep_rhs(spec, t + 0.5 * dt, grid, group, nu_b, gamma + 0.5 * dt * k2[1])
-    k4 = aep_rhs(spec, t + dt, grid, group, nu + dt * k3[0], gamma + dt * k3[1])
-    nu_new = _rk4_sum(nu, dt, k1[0], k2[0], k3[0], k4[0])
-    gamma_new = _rk4_sum(gamma, dt, k1[1], k2[1], k3[1], k4[1])
-    return nu_new, gamma_new, nu_a, nu_b
+    """One RK4 step (nu_new, gamma_new) plus the two midpoint-stage velocities.
+
+    Each stage derivative is folded into one running sum per field once the
+    next stage's input is formed from it, in the association
+    ((k1 + 2 k2) + 2 k3) + k4 of y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so only one
+    derivative is live at a time. aep_rhs returns fresh arrays, which the
+    sums overwrite.
+    """
+    half = 0.5 * dt
+    acc = aep_rhs(spec, t, grid, group, nu, gamma)
+    nu_a = _stage_input(nu, half, acc[0])
+    k = aep_rhs(spec, t + half, grid, group, nu_a, _stage_input(gamma, half, acc[1]))
+    nu_b, stage = _stage_input(nu, half, k[0]), _stage_input(gamma, half, k[1])
+    acc = _fold(k, acc, 2.0)
+    k = aep_rhs(spec, t + half, grid, group, nu_b, stage)
+    # rebinding stage frees the third stage's gamma before the fourth runs
+    stage = _stage_input(nu, dt, k[0]), _stage_input(gamma, dt, k[1])
+    acc = _fold(k, acc, 2.0)
+    k = aep_rhs(spec, t + dt, grid, group, *stage)
+    for kf, a, y in zip(k, acc, (nu, gamma)):
+        kf += a
+        kf *= dt / 6.0
+        kf += y
+    return k[0], k[1], nu_a, nu_b
 
 
 def rk4_step(spec: DensitySpec, t: float, s: ReducedState, dt: float) -> ReducedState:
@@ -317,14 +338,16 @@ class StepWindow:
     """Steps n-1, n and n+1 of a running simulation, indexed like a Trajectory.
 
     times, states and group_path map a held step index to its value; grid,
-    group, dt, steps and gamma0 come from the configuration. simulate drops
-    the oldest step after each visit, so a window holds at most three steps.
+    group, dt, steps and gamma0 come from the configuration (gamma0 is the
+    configuration's field itself, which nothing here writes to). simulate
+    drops the oldest step after each visit, so a window holds at most three
+    steps.
     """
 
     def __init__(self, cfg: SimConfig):
         self.grid, self.group = cfg.grid, cfg.group
         self.dt, self.steps = cfg.dt, cfg.steps
-        self.gamma0 = cfg.gamma0.copy()
+        self.gamma0 = cfg.gamma0
         self.times, self.states, self.group_path = {}, {}, {}
 
     def _push(self, k, state, chi):
@@ -405,7 +428,9 @@ def _time_difference(traj: Trajectory, n: int, at) -> np.ndarray:
     lo, hi = max(n - 1, 0), min(n + 1, traj.steps)
     if lo == hi:
         return np.zeros_like(at(n))
-    return (at(hi) - at(lo)) / ((hi - lo) * traj.dt)
+    out = at(hi) - at(lo)
+    out /= (hi - lo) * traj.dt
+    return out
 
 
 def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
@@ -431,20 +456,21 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
 def _covariant_residual(spec, traj, n, abar=None) -> DualField:
     """covariant_residual at any step 0 <= n <= steps (see _time_difference)."""
     group = traj.group
-    jet = jet_from_state(traj.states[n])
-    point = (traj.times[n], jet.sigma1.values, jet.sigma2.comps)
+    s = traj.states[n]
+    sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
+    point = (traj.times[n], sigma1, sigma2)
     m_now, w_now = spec.d_sigma1(*point), spec.d_sigma2(*point)
     res = _time_difference(traj, n, lambda k: spec.d_sigma1(
         traj.times[k], traj.states[k].nu.values, -traj.states[k].gamma.comps))
     w_field = DualVectorField(traj.grid, group, np.asarray(w_now, float))
     if abar is None:
-        res = res + div_dual(w_field).values
-        res = res + np.sum(group.ad_star_arr(jet.sigma2.comps, w_field.comps), axis=0)
+        res += div_dual(w_field).values
+        res += np.sum(group.ad_star_arr(sigma2, w_field.comps), axis=0)
     else:
-        res = res + cov_div(abar, w_field).values
-        shifted = jet.sigma2.comps + abar.comps
-        res = res + np.sum(group.ad_star_arr(shifted, w_field.comps), axis=0)
-    res = res + group.ad_star_arr(jet.sigma1.values, m_now)
+        res += cov_div(abar, w_field).values
+        shifted = sigma2 + abar.comps
+        res += np.sum(group.ad_star_arr(shifted, w_field.comps), axis=0)
+    res += group.ad_star_arr(sigma1, m_now)
     return DualField(traj.grid, group, res)
 
 
@@ -536,16 +562,24 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
 
 
 def _compatibility(traj, n) -> dict:
-    """compatibility_monitor at any step 0 <= n <= steps (see _time_difference)."""
+    """compatibility_monitor at any step 0 <= n <= steps (see _time_difference).
+
+    Each monitor is reduced to its maximum before the next is formed, so the
+    field-sized temporaries of one monitor are freed before the next.
+    """
     s = traj.states[n]
-    dgamma = _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
-    adv = dgamma + cov_diff(s.gamma, s.nu).comps
+    adv = cov_diff(s.gamma, s.nu).comps
+    adv += _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
+    advection = max_row_norm(adv)
+    del adv
     gap = np.nan
     if traj.group_path is not None:
-        closed = advect_exact(traj.group_path[n], traj.gamma0)
-        gap = max_row_norm(s.gamma.comps - closed.comps)
+        # closed - gamma, the negation of gamma - closed, has the same norms
+        closed = advect_exact(traj.group_path[n], traj.gamma0).comps
+        closed -= s.gamma.comps
+        gap = max_row_norm(closed)
     return {
-        "advection_residual": max_row_norm(adv),
+        "advection_residual": advection,
         "curvature_max": curvature_max(s.gamma),
         "exact_advect_gap": gap,
     }

@@ -89,14 +89,24 @@ class ReducedJet:
 def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
     """Affine gauge action: Ad(Lambda^-1) gamma_i + proj(Lambda^-1 D_i Lambda)."""
     _check_same_grid(lam, gamma)
-    group = lam.group
-    inv = group.inverse_arr(lam.values)
+    inv = lam.group.inverse_arr(lam.values)
     comps = np.empty_like(gamma.comps)
     for i in range(gamma.grid.dim):
-        conj = inv @ group.hat(gamma.comps[i]) @ lam.values
-        dlam = cdiff_array(lam.values, i, lam.grid.spacing[i])
-        comps[i] = group.to_coeffs(conj + inv @ dlam)
-    return ConnectionForm(gamma.grid, group, comps)
+        comps[i] = _gauge_act_axis(lam, inv, gamma.comps[i], i)
+    return ConnectionForm(gamma.grid, lam.group, comps)
+
+
+def _gauge_act_axis(lam, inv, gamma_i, i) -> np.ndarray:
+    """Component i of gauge_act; inv is the inverse of lam's matrices.
+
+    The shift Lambda^-1 D_i Lambda is formed first, so at most three matrix
+    fields are live at once, and all of them are freed on return.
+    """
+    group = lam.group
+    shift = inv @ cdiff_array(lam.values, i, lam.grid.spacing[i])
+    conj = inv @ group.hat(gamma_i) @ lam.values
+    conj += shift
+    return group.to_coeffs(conj)
 
 
 def cov_diff_array(grid, group, gamma, zeta) -> np.ndarray:
@@ -130,6 +140,15 @@ def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
     return DualField(gamma.grid, gamma.group, values)
 
 
+def _field_strength(gamma: ConnectionForm, i: int, j: int) -> np.ndarray:
+    """F_ij = D_i gamma_j - D_j gamma_i + [gamma_i, gamma_j] as a coefficient field."""
+    grid = gamma.grid
+    f = cdiff_array(gamma.comps[j], i, grid.spacing[i])
+    f -= cdiff_array(gamma.comps[i], j, grid.spacing[j])
+    f += gamma.group.bracket_arr(gamma.comps[i], gamma.comps[j])
+    return f
+
+
 def curvature(gamma: ConnectionForm) -> np.ndarray:
     """Field strength F_ij = D_i gamma_j - D_j gamma_i + [gamma_i, gamma_j].
 
@@ -141,17 +160,23 @@ def curvature(gamma: ConnectionForm) -> np.ndarray:
     out = np.zeros((grid.dim, grid.dim) + grid.sizes + (d,))
     for i in range(grid.dim):
         for j in range(i + 1, grid.dim):
-            f = cdiff_array(gamma.comps[j], i, grid.spacing[i])
-            f -= cdiff_array(gamma.comps[i], j, grid.spacing[j])
-            f += gamma.group.bracket_arr(gamma.comps[i], gamma.comps[j])
+            f = _field_strength(gamma, i, j)
             out[i, j] = f
             out[j, i] = -f
     return out
 
 
 def curvature_max(gamma: ConnectionForm) -> float:
-    """Largest pointwise kappa-norm of the field strength."""
-    return max_row_norm(curvature(gamma))
+    """Largest pointwise kappa-norm of the field strength.
+
+    The max over the blocks F_ij with i < j, without building the whole
+    antisymmetric block: F_ji = -F_ij has the same norms and the diagonal is
+    zero. Grids have one or two axes, so there is at most one such block and
+    a NaN norm is returned as the whole-block maximum would return it.
+    """
+    dim = gamma.grid.dim
+    return max((max_row_norm(_field_strength(gamma, i, j))
+                for i in range(dim) for j in range(i + 1, dim)), default=0.0)
 
 
 def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:

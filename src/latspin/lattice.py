@@ -38,6 +38,7 @@ __all__ = [
     "l2_pair",
     "right_log_derivative",
     "snapshot",
+    "snapshot_arrays",
     "field_from_snapshot",
 ]
 
@@ -358,8 +359,12 @@ _KINDS = {
 }
 
 
-def snapshot(f) -> dict:
-    """Serializable snapshot: header plus flat row-major data."""
+def snapshot_arrays(f) -> dict:
+    """snapshot(f) with its data as the flat row-major array of f (a view).
+
+    A writer can encode the data chunk by chunk from the array, where
+    snapshot holds the whole field as a list of floats.
+    """
     for kind, cls in _KINDS.items():
         if type(f) is cls:
             data = f.comps if hasattr(f, "comps") else f.values
@@ -369,9 +374,16 @@ def snapshot(f) -> dict:
                 "spacing": list(f.grid.spacing),
                 "group": f.group.name,
                 "kind": kind,
-                "data": data.ravel().tolist(),
+                "data": data.reshape(-1),
             }
     raise TypeError(f"cannot snapshot {type(f).__name__}")
+
+
+def snapshot(f) -> dict:
+    """Serializable snapshot: header plus flat row-major data."""
+    snap = snapshot_arrays(f)
+    snap["data"] = snap["data"].tolist()
+    return snap
 
 
 def field_from_snapshot(snap: dict, group: MatrixGroup):

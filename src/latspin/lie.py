@@ -265,8 +265,10 @@ def _so3_exp(coeffs, k) -> np.ndarray:
     """Rodrigues formula I + a k + b k^2; k is the hat matrix of coeffs.
 
     a = sin(t)/t and b = (1-cos t)/t^2 are the quotients, overwritten by
-    their series where the angle t is below 1e-4. The sum is built in one
-    buffer as a k + I + b (k @ k), the same sums as eye + a k + b (k @ k).
+    their series where the angle t is below 1e-4. The sum is built as
+    a k + I + b (k @ k), the same sums as eye + a k + b (k @ k), in two
+    (..., 3, 3) buffers: k @ k, and k itself, which is overwritten and
+    returned.
     """
     # np.asarray: for one element these are numpy scalars, which the masked
     # writes below cannot index
@@ -279,12 +281,12 @@ def _so3_exp(coeffs, k) -> np.ndarray:
     t2 = theta2[small]
     a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
     b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    out = a[..., None, None] * k
-    out += np.eye(3)
     kk = k @ k
     kk *= b[..., None, None]
-    out += kk
-    return out
+    k *= a[..., None, None]
+    k += np.eye(3)
+    k += kk
+    return k
 
 
 def _so3_log(gmats) -> np.ndarray:

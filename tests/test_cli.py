@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from latspin import cli, dynamics
+from latspin.lattice import AlgebraField, Grid, snapshot, snapshot_arrays
 from latspin.lie import LogBranchError, so3
 
 REFERENCE_CONFIG = {
@@ -105,6 +106,8 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
                  "grid.spacing", id="spacing-overflow-2d"),
     pytest.param(lambda c: c["init"]["nu"].update(modes=99), "init.nu.modes",
                  id="modes-above-grid-limit"),
+    pytest.param(lambda c: c["grid"].update(spacing=[1e-320]), "grid.spacing",
+                 id="spacing-subnormal"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))
@@ -172,15 +175,22 @@ def test_simulate_outputs_snapshots_and_report(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 def test_chunked_json_writer_matches_dumps(chunk):
+    # 4097 entries are a multiple of none of the chunk sizes but 1
+    data = np.random.default_rng(3).normal(size=4097)
+    data[:4] = -0.0, 1e-300, 0.0, -1e-300
+    nu = AlgebraField(Grid((5,), (0.2,)), so3(), data[:15].reshape(5, 3))
     doc = {
         "t": 0.25, "empty": [], "nested": {"a": [1.5, -0.0, 1e-300], "b": {}},
         "one": [7.0], "three": [0.1, 0.2, 0.3], "list_of_lists": [[1], [2, 3]],
         "kind": "algebra", "flag": True, "none": None,
-        "data": np.random.default_rng(3).normal(size=4097).tolist(),
+        "data": data.tolist(), "array": data, "empty_array": data[:0],
+        "snapshot": snapshot_arrays(nu),
     }
     buf = io.StringIO()
     cli._write_json(buf, doc, chunk)
-    assert buf.getvalue() == json.dumps(doc)
+    # the bytes of the list form; the streamed snapshot is snapshot's list form
+    assert buf.getvalue() == json.dumps(doc, default=np.ndarray.tolist)
+    assert json.dumps(snapshot_arrays(nu), default=np.ndarray.tolist) == json.dumps(snapshot(nu))
 
 
 def test_divergent_run_exits_3(tmp_path):
@@ -315,15 +325,15 @@ def test_streamed_outputs_equal_the_collected_trajectory(tmp_path, raw):
 def test_simulate_peak_memory_is_flat_in_the_step_count(tmp_path):
     # 16x16: one held step (nu, gamma, chi) is about 36 KiB, so holding the
     # whole run would add about 6.3 MiB between 20 and 200 steps
-    def traced_peak(steps):
+    def traced_peak(steps, n=16):
         raw = json.loads(json.dumps(STREAM_2D))
-        raw["grid"] = {"dim": 2, "sizes": [16, 16], "spacing": [1.0 / 16, 1.0 / 16]}
+        raw["grid"] = {"dim": 2, "sizes": [n, n], "spacing": [1.0 / n, 1.0 / n]}
         raw["time"]["steps"] = steps
         raw["output"]["cadence"] = 10
-        path = write_config(tmp_path, raw, f"config_{steps}.json")
+        path = write_config(tmp_path, raw, f"config_{n}_{steps}.json")
         tracemalloc.start()
         try:
-            assert cli.run_simulate(path, str(tmp_path / f"out_{steps}")) == 0
+            assert cli.run_simulate(path, str(tmp_path / f"out_{n}_{steps}")) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,6 +341,14 @@ def test_simulate_peak_memory_is_flat_in_the_step_count(tmp_path):
     traced_peak(2)  # first-call allocations (imports, caches) stay out of the figures
     short, long = traced_peak(20), traced_peak(200)
     assert long <= 1.1 * short, (short, long)
+
+    # 64x64, where the fields dwarf everything else: the footprint is a fixed
+    # number of held steps. 5.71 were measured (7.24 before the temporaries
+    # of a step were folded in place and snapshots streamed); 6 leaves a 5%
+    # margin.
+    held_step = 64 * 64 * 8 * (3 + 2 * 3 + 3 * 3)
+    peak = traced_peak(20, n=64)
+    assert peak <= 6 * held_step, peak / held_step
 
 
 def test_reproducible_series_across_runs_and_threads(tmp_path):
