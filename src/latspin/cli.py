@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,96 +49,116 @@ class ConfigError(ValueError):
 # -- config parsing -----------------------------------------------------------
 
 
-def _need(cfg, key):
-    node = cfg
-    path = key.split(".")
-    for part in path:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(key, "missing")
+REQUIRED = object()
+
+
+class Rule(NamedTuple):
+    """One config key: its kind, the range [lo, hi] of each number, and its default.
+
+    kind is "int" or "float" (a finite JSON number, whole for "int"), "int per
+    axis" or "float per axis" (a list of grid.dim of them), "levels" (a list
+    of at least 3 distinct ints), "path" (a non-empty string), or a tuple of
+    the names allowed.
+    """
+
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    default: object = REQUIRED
+
+
+_PROFILE_RULES = {"modes": Rule("int", 1), "amplitude": Rule("float"), "seed": Rule("int", 0)}
+
+# Every key a command reads. The rows of grid.* reject whatever Grid would,
+# and a subnormal grid.spacing or time.dt would overflow 1/h or 1/dt.
+SCHEMA = {
+    "grid.dim": Rule("int", 1, 2),
+    "grid.sizes": Rule("int per axis", MIN_SITES_PER_AXIS),
+    "grid.spacing": Rule("float per axis", sys.float_info.min),
+    "group": Rule(("SO3",)),
+    "lagrangian": Rule(tuple(lagrangian.available_specs())),
+    "init.nu.profile": Rule(("zero", "fourier")),
+    **{f"init.nu.{sub}": rule for sub, rule in _PROFILE_RULES.items()},
+    "gamma0.profile": Rule(("zero", "fourier", "pure_gauge")),
+    **{f"gamma0.{sub}": rule for sub, rule in _PROFILE_RULES.items()},
+    "time.dt": Rule("float", sys.float_info.min),
+    "time.steps": Rule("int", 0, sys.maxsize),
+    "output.cadence": Rule("int", 1, default=1),
+    "ladder.sizes": Rule("levels", MIN_SITES_PER_AXIS),
+    "output_dir": Rule("path", default=None),
+}
+
+
+def read(cfg, key):
+    """The value at a SCHEMA key of cfg, checked against its row.
+
+    A missing key gives the row's default; without one, the ConfigError names
+    the first key on the path that is missing, or the parent that is not an
+    object.
+    """
+    rule, path, node = SCHEMA[key], key.split("."), cfg
+    for depth, part in enumerate(path):
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(path[:depth]), "must be an object")
+        if part not in node:
+            if rule.default is REQUIRED:
+                raise ConfigError(".".join(path[:depth + 1]), "missing")
+            return rule.default
         node = node[part]
-    return node
+    kind = rule.kind
+    if isinstance(kind, tuple):
+        if node not in kind:
+            raise ConfigError(key, f"must be one of {list(kind)}, got {node!r}")
+        return node
+    if kind == "path":
+        if not isinstance(node, str) or not node:
+            raise ConfigError(key, "must be a non-empty string")
+        return node
+    if kind in ("int", "float"):
+        return _number(key, node, kind, rule)
+    if kind == "levels":
+        levels = [_number(key, n, "int", rule) for n in node] if isinstance(node, list) else []
+        if len(levels) < 3 or len(set(levels)) < len(levels):
+            raise ConfigError(key, "needs at least 3 distinct levels")
+        return levels
+    dim = read(cfg, "grid.dim")
+    if not isinstance(node, list) or len(node) != dim:
+        raise ConfigError(key, f"must list {dim} entries")
+    return tuple(_number(key, x, kind.split()[0], rule) for x in node)
 
 
-def _number(key, value, kind=float):
-    """A finite JSON number as float, or a whole one as int; else ConfigError."""
+def _number(key, value, kind, rule):
+    """A finite JSON number in [rule.lo, rule.hi], as an int for kind "int"."""
     try:
         ok = (not isinstance(value, bool) and math.isfinite(value)
-              and (kind is float or value == int(value)))
+              and (kind == "float" or value == int(value)))
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(key, f"must be a finite {kind.__name__}, got {value!r}")
-    return kind(value)
+        raise ConfigError(key, f"must be a finite {kind}, got {value!r}")
+    value = int(value) if kind == "int" else float(value)
+    if not rule.lo <= value <= rule.hi:
+        raise ConfigError(key, f"must lie in [{rule.lo!r}, {rule.hi!r}], got {value!r}")
+    return value
 
 
-def _field_cfg(cfg, key, allowed_profiles):
-    node = _need(cfg, key)
-    if not isinstance(node, dict):
-        raise ConfigError(key, "must be an object")
-    profile = node.get("profile")
-    if profile not in allowed_profiles:
-        raise ConfigError(f"{key}.profile", f"must be one of {sorted(allowed_profiles)}")
-    out = {"profile": profile}
-    if profile != "zero":
-        for sub in ("modes", "amplitude", "seed"):
-            if sub not in node:
-                raise ConfigError(f"{key}.{sub}", "missing")
-        out["modes"] = _number(f"{key}.modes", node["modes"], int)
-        out["amplitude"] = _number(f"{key}.amplitude", node["amplitude"])
-        out["seed"] = _number(f"{key}.seed", node["seed"], int)
+def _profile_cfg(cfg, key):
+    """The profile name under key and, unless it is zero, its modes, amplitude and seed."""
+    out = {"profile": read(cfg, f"{key}.profile")}
+    if out["profile"] != "zero":
+        out.update({sub: read(cfg, f"{key}.{sub}") for sub in _PROFILE_RULES})
     return out
 
 
 def parse_config(cfg: dict) -> dynamics.SimConfig:
     """Validate a config document and expand profiles into concrete fields."""
-    sizes = _need(cfg, "grid.sizes")
-    spacing = _need(cfg, "grid.spacing")
-    dim = _number("grid.dim", _need(cfg, "grid.dim"), int)
-    if not isinstance(sizes, list) or len(sizes) != dim:
-        raise ConfigError("grid.sizes", f"must list {dim} entries")
-    if not isinstance(spacing, list) or len(spacing) != dim:
-        raise ConfigError("grid.spacing", f"must list {dim} entries")
-    sizes = tuple(_number("grid.sizes", n, int) for n in sizes)
-    spacing = tuple(_number("grid.spacing", h) for h in spacing)
-    if any(h < sys.float_info.min for h in spacing):
-        # a subnormal h overflows 1/(2h) in every centred difference
-        raise ConfigError("grid.spacing", f"entries must be at least {sys.float_info.min!r}")
-    try:
-        grid = Grid(sizes, spacing)
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
-
-    group_name = _need(cfg, "group")
-    try:
-        group = group_by_name(group_name)
-    except ValueError as exc:
-        raise ConfigError("group", str(exc)) from None
-
-    spec_name = _need(cfg, "lagrangian")
-    if not isinstance(spec_name, str):
-        raise ConfigError("lagrangian", "must be a string")
-    try:
-        spec = lagrangian.get_spec(spec_name)
-    except KeyError as exc:
-        raise ConfigError("lagrangian", str(exc)) from None
-
-    nu_cfg = _field_cfg(cfg, "init.nu", ("zero", "fourier"))
-    gamma_cfg = _field_cfg(cfg, "gamma0", ("zero", "fourier", "pure_gauge"))
-
-    dt = _number("time.dt", _need(cfg, "time.dt"))
-    steps = _number("time.steps", _need(cfg, "time.steps"), int)
-    if dt <= 0:
-        raise ConfigError("time.dt", "must be positive")
-    if steps < 0:
-        raise ConfigError("time.steps", "must be non-negative")
-    if steps > sys.maxsize:
-        raise ConfigError("time.steps", f"must be at most {sys.maxsize}")
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output", "must be an object")
-    cadence = _number("output.cadence", output.get("cadence", 1), int)
-    if cadence < 1:
-        raise ConfigError("output.cadence", "must be at least 1")
+    grid = Grid(read(cfg, "grid.sizes"), read(cfg, "grid.spacing"))
+    group = group_by_name(read(cfg, "group"))
+    spec = lagrangian.get_spec(read(cfg, "lagrangian"))
+    nu_cfg = _profile_cfg(cfg, "init.nu")
+    gamma_cfg = _profile_cfg(cfg, "gamma0")
+    dt, steps = read(cfg, "time.dt"), read(cfg, "time.steps")
+    cadence = read(cfg, "output.cadence")
 
     # An overflow here ends in a non-finite field or bound that is rejected
     # below, so the exit-2 line is the only report of it.
@@ -274,12 +295,23 @@ def _make_dir(path):
     return None
 
 
-def run_simulate(config_path, outdir) -> int:
+def _read_config(path):
+    """The JSON object in the file at path, or None once the reason is printed."""
     try:
-        with open(config_path) as fh:
+        with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(raw, dict):
+        print("error: cannot read config: the document is not a JSON object", file=sys.stderr)
+        return None
+    return raw
+
+
+def run_simulate(config_path, outdir) -> int:
+    raw = _read_config(config_path)
+    if raw is None:
         return 2
     try:
         cfg = parse_config(raw)
@@ -470,27 +502,12 @@ def fit_order(hs, residuals):
     return float(slope)
 
 
-def _ladder_sizes(raw):
-    """ladder.sizes: at least 3 distinct whole site counts, each a valid axis."""
-    ladder = raw.get("ladder", {}) if isinstance(raw, dict) else None
-    if not isinstance(ladder, dict):
-        raise ConfigError("ladder", "must be an object")
-    sizes = ladder.get("sizes")
-    if not isinstance(sizes, list) or len(sizes) < 3:
-        raise ConfigError("ladder.sizes", "needs at least 3 levels")
-    sizes = [_number("ladder.sizes", n, int) for n in sizes]
-    if len(set(sizes)) < len(sizes) or min(sizes) < MIN_SITES_PER_AXIS:
-        raise ConfigError(
-            "ladder.sizes", f"needs distinct entries of at least {MIN_SITES_PER_AXIS}"
-        )
-    return sizes
-
-
 def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0):
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
     Returns one measurement dict per level with the interior maxima of every
-    monitored residual.
+    monitored residual. A level that diverges raises its DivergenceError with
+    `sites` set to the level's site count.
     """
     base = parse_config(raw_cfg)
     dim = base.grid.dim
@@ -510,7 +527,11 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         except ConfigError as exc:
             # the base config parsed, so the level size is at fault
             raise ConfigError("ladder.sizes", f"level {n_sites}: {exc}") from None
-        traj = dynamics.simulate(cfg)
+        try:
+            traj = dynamics.simulate(cfg)
+        except dynamics.DivergenceError as exc:
+            exc.sites = int(n_sites)
+            raise
         adv = curvm = gap = 0.0
         for k in range(1, traj.steps):
             mon = dynamics.compatibility_monitor(traj, k)
@@ -547,17 +568,12 @@ def convergence_orders(measurements):
 
 
 def run_convergence(config_path) -> int:
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    raw = _read_config(config_path)
+    if raw is None:
         return 2
     try:
-        sizes = _ladder_sizes(raw)
-        out_dir = raw.get("output_dir", os.path.dirname(config_path) or ".")
-        if not isinstance(out_dir, str) or not out_dir:
-            raise ConfigError("output_dir", "must be a non-empty string")
+        sizes = read(raw, "ladder.sizes")
+        out_dir = read(raw, "output_dir") or os.path.dirname(config_path) or "."
         problem = _make_dir(out_dir)
         if problem:
             raise ConfigError("output_dir", problem)
@@ -565,6 +581,9 @@ def run_convergence(config_path) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except dynamics.DivergenceError as exc:
+        print(f"error: ladder level {exc.sites} diverged: {exc}", file=sys.stderr)
+        return 3
     orders = convergence_orders(measurements)
     payload = {"measurements": measurements, "orders": orders,
                "threshold": ORDER_THRESHOLD}

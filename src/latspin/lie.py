@@ -25,7 +25,6 @@ __all__ = [
     "LogBranchError",
     "MatrixGroup",
     "so3",
-    "generic_matrix_subgroup",
 ]
 
 STRUCTURE_TOL = 1e-12
@@ -54,11 +53,13 @@ class MatrixGroup:
     """Descriptor for a matrix group G with a kappa-orthonormal algebra basis.
 
     The descriptor owns every array-level kernel; lattice fields delegate here
-    so there is a single implementation per operation.
+    so there is a single implementation per operation. With is_so3 the
+    kernels are closed forms; otherwise they are the structure-tensor einsum,
+    scaling-and-squaring exp, the real matrix logarithm, and a log round trip
+    as the membership test.
     """
 
-    def __init__(self, name, basis, kappa_weight, is_so3=False,
-                 exp_fn=None, log_fn=None, membership_fn=None):
+    def __init__(self, name, basis, kappa_weight, is_so3=False):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError("basis must be a stack of square matrices")
@@ -68,9 +69,6 @@ class MatrixGroup:
         self.matrix_dim = basis.shape[1]
         self.kappa_weight = float(kappa_weight)
         self.is_so3 = bool(is_so3)
-        self.exp_fn = exp_fn
-        self.log_fn = log_fn
-        self.membership_fn = membership_fn
         self._check_orthonormal()
         self.structure = self._structure_tensor()
         self._check_ad_invariant()
@@ -156,15 +154,12 @@ class MatrixGroup:
     def membership_defect(self, mats) -> np.ndarray:
         """Frobenius defect from the group manifold (orthogonality for SO3)."""
         mats = np.asarray(mats, float)
-        if self.membership_fn is not None:
-            return np.asarray(self.membership_fn(mats), float)
         if self.is_so3:
             gram = np.swapaxes(mats, -1, -2) @ mats
             defect = np.linalg.norm(gram - np.eye(3), axis=(-2, -1))
             bad_det = np.linalg.det(mats) <= 0
             return np.where(bad_det, np.inf, defect)
-        # Generic subgroups without their own test: accept matrices whose log
-        # round-trips.
+        # Generic subgroups: accept matrices whose log round-trips.
         try:
             coeffs = self.log_arr(mats)
         except LogBranchError:
@@ -184,8 +179,6 @@ class MatrixGroup:
         coeffs = np.asarray(coeffs, float)
         if self.is_so3:
             return _so3_exp(coeffs, self.hat(coeffs))
-        if self.exp_fn is not None:
-            return np.asarray(self.exp_fn(coeffs), float)
         import scipy.linalg  # only the generic fallbacks need scipy
 
         return scipy.linalg.expm(self.hat(coeffs))
@@ -194,8 +187,6 @@ class MatrixGroup:
         gmats = np.asarray(gmats, float)
         if self.is_so3:
             return _so3_log(gmats)
-        if self.log_fn is not None:
-            return np.asarray(self.log_fn(gmats), float)
         import scipy.linalg  # only the generic fallbacks need scipy
 
         out = np.empty(gmats.shape[:-2] + (self.algebra_dim,))
@@ -319,17 +310,6 @@ def so3() -> MatrixGroup:
     if _SO3 is None:
         _SO3 = MatrixGroup("SO3", _so3_basis(), kappa_weight=0.5, is_so3=True)
     return _SO3
-
-
-def generic_matrix_subgroup(name, basis, kappa_weight, exp_fn=None, log_fn=None,
-                            membership_fn=None) -> MatrixGroup:
-    """Descriptor for a matrix subgroup given a kappa-orthonormal algebra basis.
-
-    Closed-form exp/log and a membership test may be supplied; exp falls back
-    to scaling-and-squaring and log to the real matrix logarithm otherwise.
-    """
-    return MatrixGroup(name, basis, kappa_weight, is_so3=False, exp_fn=exp_fn,
-                       log_fn=log_fn, membership_fn=membership_fn)
 
 
 def group_by_name(name: str) -> MatrixGroup:

@@ -1,13 +1,20 @@
+import contextlib
+import copy
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latspin import cli, dynamics
 from latspin.lattice import AlgebraField, Grid, snapshot, snapshot_arrays
@@ -108,6 +115,8 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
                  id="modes-above-grid-limit"),
     pytest.param(lambda c: c["grid"].update(spacing=[1e-320]), "grid.spacing",
                  id="spacing-subnormal"),
+    # dt * k underflows, so the run would freeze instead of stepping
+    pytest.param(lambda c: c["time"].update(dt=1e-320), "time.dt", id="dt-subnormal"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))
@@ -116,6 +125,27 @@ def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and key in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+@pytest.mark.parametrize("content", [b'{"grid": \xff}', b"[" * 100000 + b"]" * 100000, b"[1]"],
+                         ids=["invalid-utf8", "nested-too-deep", "not-an-object"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    argv = [command, str(path)] + ([str(tmp_path / "out")] if command == "simulate" else [])
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read config: "), lines
+
+
+def test_readme_schema_table_lists_every_schema_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("### Config schema")[1].split("\n## ")[0]
+    keys = [row.split("|")[1].strip().strip("`") for row in section.splitlines()
+            if row.startswith("| `")]
+    assert keys == list(cli.SCHEMA)
 
 
 @pytest.mark.parametrize("error", [ValueError("bad shape"), LogBranchError("at the cut locus")],
@@ -444,6 +474,8 @@ def test_convergence_rejects_short_ladder(tmp_path):
                  id="level-too-coarse-for-modes"),
     pytest.param(dict(ZERO_CONFIG, output_dir=[1]), {"sizes": [8, 16, 32]}, "output_dir",
                  id="output-dir-list"),
+    pytest.param(dict(ZERO_CONFIG, time={"dt": 1e-320, "steps": 10}), {"sizes": [8, 16, 32]},
+                 "time.dt", id="dt-subnormal"),
 ])
 def test_convergence_invalid_config_names_key(tmp_path, base, ladder, key):
     cfg = json.loads(json.dumps(base))
@@ -452,6 +484,18 @@ def test_convergence_invalid_config_names_key(tmp_path, base, ladder, key):
     assert proc.returncode == 2, proc.stderr
     assert f"config key {key!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_convergence_divergent_level_exits_3(tmp_path):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg["gamma0"] = {"profile": "fourier", "modes": 1, "amplitude": 1.0, "seed": 2}
+    cfg["time"]["dt"] = 1.0
+    cfg["ladder"] = {"sizes": [8, 16, 32]}
+    proc = run_cli(["convergence", write_config(tmp_path, cfg)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: ladder level 8 diverged: step_too_large in chi at step 1"]
+    assert not (tmp_path / "orders.json").exists()
 
 
 def test_convergence_ladder_writes_orders(tmp_path):
@@ -476,3 +520,79 @@ def test_convergence_ladder_writes_orders(tmp_path):
 def test_fit_order_zero_ladder_is_inf():
     assert cli.fit_order([0.1, 0.05, 0.025], [0.0, 0.0, 0.0]) == float("inf")
     assert cli.fit_order([0.1, 0.05], [4e-2, 1e-2]) == pytest.approx(2.0)
+
+
+# -- CLI contract ------------------------------------------------------------------
+
+# A small config to mutate. No value in FUZZ_VALUES makes a valid run long:
+# large step counts, site counts and ladder levels are rejected, or fail to
+# allocate at once.
+FUZZ_CONFIG = {
+    "grid": {"dim": 1, "sizes": [8], "spacing": [0.125]},
+    "group": "SO3",
+    "lagrangian": "spin_glass",
+    "init": {"nu": {"profile": "fourier", "modes": 1, "amplitude": 0.02, "seed": 1}},
+    "gamma0": {"profile": "fourier", "modes": 1, "amplitude": 1.0, "seed": 2},
+    "time": {"dt": 0.01, "steps": 4},
+    "output": {"cadence": 2},
+    "ladder": {"sizes": [8, 16, 32]},
+}
+FUZZ_VALUES = [None, "x", [], [1], {}, True, -1, 0, 1, 2, 2.5, 16, 1e-320, 1e100, 1e308,
+               2**70, float("nan"), float("inf"), "zero", "pure_gauge"]
+SCHEMA_KEYS = {key.rsplit(".", k)[0] for key in cli.SCHEMA for k in range(3)}
+
+
+def _paths(node, prefix=()):
+    """The path to every value below node, list entries included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_paths(cfg), key=str)))
+        parent = cfg
+        for part in path[:-1]:
+            parent = parent[part]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return cfg
+
+
+def _with_dt(dt):
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    cfg["time"]["dt"] = dt
+    return cfg
+
+
+# Two inputs the generator reaches only rarely, as most single mutations are
+# rejected: a ladder level that diverges, and a subnormal time.dt.
+@example(command="convergence", cfg=_with_dt(1.0))
+@example(command="convergence", cfg=_with_dt(1e-320))
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(command=st.sampled_from(["simulate", "convergence"]), cfg=mutated_configs())
+def test_cli_contract_holds_for_mutated_configs(command, cfg):
+    # in process: an escaping exception is the traceback the CLI would print
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        argv = [command, path] + ([os.path.join(tmp, "out")] if command == "simulate" else [])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in ((0, 1, 2, 3) if command == "convergence" else (0, 2, 3)), (code, lines)
+    if code == 2:
+        assert len(lines) == 1, lines
+        named = re.match(r"error: config key '([^']*)'", lines[0])
+        assert named and named.group(1) in SCHEMA_KEYS, lines

@@ -6,8 +6,8 @@ import pytest
 
 from latspin.lie import (
     LogBranchError,
+    MatrixGroup,
     MembershipError,
-    generic_matrix_subgroup,
     so3,
 )
 
@@ -277,7 +277,7 @@ def test_nonclosed_basis_rejected():
     bad[0, 1, 0] = -1.0
     bad[1] = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
     with pytest.raises(ValueError):
-        generic_matrix_subgroup("bad", bad, 0.5)
+        MatrixGroup("bad", bad, 0.5)
 
 
 def test_non_ad_invariant_basis_rejected():
@@ -285,11 +285,11 @@ def test_non_ad_invariant_basis_rejected():
     # so kappa([X, Y], Y) = 1 while -kappa(Y, [X, Y]) = -1
     aff = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ValueError, match="ad-invariant"):
-        generic_matrix_subgroup("aff1", aff, 1.0)
+        MatrixGroup("aff1", aff, 1.0)
 
 
 def test_generic_descriptor_agrees_with_fast_path(g):
-    clone = generic_matrix_subgroup("so3-generic", g.basis, 0.5)
+    clone = MatrixGroup("so3-generic", g.basis, 0.5)
     rr = np.random.default_rng(12)
     for _ in range(10):
         v = rr.normal(size=3) * 0.8
@@ -303,13 +303,13 @@ SCIPY_ON_DEMAND = """
 import sys
 import numpy as np
 import latspin.cli
-from latspin.lie import generic_matrix_subgroup, so3
+from latspin.lie import MatrixGroup, so3
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 assert not scipy_loaded(), "import latspin.cli loaded scipy"
-clone = generic_matrix_subgroup("so3-generic", so3().basis, 0.5)
+clone = MatrixGroup("so3-generic", so3().basis, 0.5)
 xi = np.array([[0.3, -0.2, 0.5], [0.1, 0.0, -0.4]])
 assert not scipy_loaded(), "building a generic descriptor loaded scipy"
 mats = clone.exp_arr(xi)
@@ -323,26 +323,6 @@ def test_scipy_is_imported_only_by_the_generic_fallbacks():
     proc = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_generic_descriptor_custom_hooks(g):
-    calls = {"exp": 0, "member": 0}
-
-    def my_exp(coeffs):
-        calls["exp"] += 1
-        return g.exp_arr(coeffs)
-
-    def my_membership(mats):
-        calls["member"] += 1
-        gram = np.swapaxes(mats, -1, -2) @ mats
-        return np.linalg.norm(gram - np.eye(3), axis=(-2, -1))
-
-    custom = generic_matrix_subgroup(
-        "so3-hooked", g.basis, 0.5, exp_fn=my_exp, membership_fn=my_membership
-    )
-    mat = custom.exp_arr(np.array([0.2, -0.4, 0.1]))
-    custom.check_membership(mat)
-    assert calls["exp"] == 1 and calls["member"] == 1
 
 
 def test_structure_constants_are_levi_civita(g):
@@ -378,7 +358,7 @@ def assert_same_bits(a, b):
     ((2, 64, 64, 3), (1, 64, 64, 3)),  # the broadcast of cov_diff
 ])
 def test_so3_closed_forms_match_generic_path_bit_for_bit(g, xshape, yshape):
-    clone = generic_matrix_subgroup("so3-generic", g.basis, 0.5)
+    clone = MatrixGroup("so3-generic", g.basis, 0.5)
     rr = np.random.default_rng(31)
     x, y = _seeded_coeffs(rr, xshape, 1), _seeded_coeffs(rr, yshape, 2)
     assert_same_bits(g.bracket_arr(x, y), clone.bracket_arr(x, y))
