@@ -355,7 +355,7 @@ def _report(name, bound, tol, lines):
     return ok
 
 
-def verify_suite(seed=0, sizes=(32, 16), flip_gamma_sign=False):
+def verify_suite(seed=0, sizes=(32, 16)):
     """Property suite over both grid dimensions; returns (all_ok, lines).
 
     Each line is (name, passed, measured_bound, tolerance). The gauge
@@ -367,9 +367,6 @@ def verify_suite(seed=0, sizes=(32, 16), flip_gamma_sign=False):
     rng = np.random.default_rng(seed)
     lines = []
     spec = lagrangian.spin_glass_spec()
-    if flip_gamma_sign:
-        original = spec.d_sigma2
-        spec.d_sigma2 = lambda t, s1, s2: -original(t, s1, s2)
 
     # Lie kernel identities.
     jac = adinv = dual = roundtrip = 0.0
@@ -475,7 +472,7 @@ def verify_suite(seed=0, sizes=(32, 16), flip_gamma_sign=False):
     return all_ok, lines
 
 
-def run_verify(seed=0, sizes=(32, 16), flip_gamma_sign=False) -> int:
+def run_verify(seed=0, sizes=(32, 16)) -> int:
     if seed < 0:
         print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
         return 2
@@ -483,7 +480,7 @@ def run_verify(seed=0, sizes=(32, 16), flip_gamma_sign=False) -> int:
         print(f"error: --sizes must be at least {MIN_SITES_PER_AXIS} sites per axis, "
               f"got {' '.join(map(str, sizes))}", file=sys.stderr)
         return 2
-    all_ok, lines = verify_suite(seed=seed, sizes=sizes, flip_gamma_sign=flip_gamma_sign)
+    all_ok, lines = verify_suite(seed=seed, sizes=sizes)
     for name, ok, bound, tol in lines:
         print(f"{'PASS' if ok else 'FAIL'} {name:42s} measured={bound:.3e} tol={tol:.1e}")
     return 0 if all_ok else 1
@@ -500,6 +497,15 @@ def fit_order(hs, residuals):
     res = np.maximum(res, 1e-300)
     slope, _ = np.polyfit(np.log(np.asarray(hs, float)), np.log(res), 1)
     return float(slope)
+
+
+ORDER_KEYS = (
+    "variational_residual",
+    "covariant_residual",
+    "advection_residual",
+    "curvature_max",
+    "exact_advect_gap",
+)
 
 
 def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0):
@@ -532,12 +538,10 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         except dynamics.DivergenceError as exc:
             exc.sites = int(n_sites)
             raise
-        adv = curvm = gap = 0.0
+        worst = dict.fromkeys(ORDER_KEYS[1:], 0.0)
         for k in range(1, traj.steps):
-            mon = dynamics.compatibility_monitor(traj, k)
-            adv = max(adv, mon["advection_residual"])
-            curvm = max(curvm, mon["curvature_max"])
-            gap = max(gap, mon["exact_advect_gap"])
+            for key, value in dynamics.monitor_row(cfg.spec, traj, k).items():
+                worst[key] = max(worst[key], value)
         out.append({
             "sites": int(n_sites),
             "h": lengths[0] / n_sites,
@@ -545,21 +549,9 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
             "steps": steps,
             "variational_residual": dynamics.variational_residual(
                 cfg.spec, traj, probes=probes, eps=probe_eps, seed=probe_seed),
-            "covariant_residual": dynamics.covariant_residual_max(cfg.spec, traj),
-            "advection_residual": adv,
-            "curvature_max": curvm,
-            "exact_advect_gap": gap,
+            **worst,
         })
     return out
-
-
-ORDER_KEYS = (
-    "variational_residual",
-    "covariant_residual",
-    "advection_residual",
-    "curvature_max",
-    "exact_advect_gap",
-)
 
 
 def convergence_orders(measurements):
@@ -615,8 +607,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--sizes", type=int, nargs=2, default=(32, 16),
                        metavar=("N1D", "N2D"))
-    p_ver.add_argument("--flip-gamma-sign", action="store_true",
-                       help=argparse.SUPPRESS)
 
     p_conv = sub.add_parser("convergence", help="run a refinement ladder")
     p_conv.add_argument("config")
@@ -625,8 +615,7 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         return run_simulate(args.config, args.outdir)
     if args.command == "verify":
-        return run_verify(seed=args.seed, sizes=tuple(args.sizes),
-                          flip_gamma_sign=args.flip_gamma_sign)
+        return run_verify(seed=args.seed, sizes=tuple(args.sizes))
     return run_convergence(args.config)
 
 

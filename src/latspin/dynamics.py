@@ -13,11 +13,11 @@ group membership). Residual monitors evaluate the covariant form of the
 equations, the discrete-action stationarity, the advection equation, the
 closed-form advection solution, and the curvature.
 
-monitor_row gives the four series monitors at any step. Its time differences
-are centred at interior steps and one-sided at the first and last steps, from
-the same code that covariant_residual and compatibility_monitor use. It reads
-steps n-1..n+1 only, so it runs on a full Trajectory or on the StepWindow that
-simulate passes to its visitor while stepping.
+covariant_residual and compatibility_monitor serve every step 0..steps: their
+time differences are centred at interior steps and one-sided at the first and
+last steps. monitor_row, the four series monitors, is their composition. They
+read steps n-1..n+1 only, so they run on a full Trajectory or on the
+StepWindow that simulate passes to its visitor while stepping.
 """
 
 from __future__ import annotations
@@ -72,11 +72,9 @@ __all__ = [
     "pure_gauge_connection",
     "group_field_from_profile",
     "aep_rhs",
-    "rk4_step",
     "simulate",
     "energy",
     "covariant_residual",
-    "covariant_residual_max",
     "variational_residual",
     "compatibility_monitor",
     "monitor_row",
@@ -105,7 +103,7 @@ class Trajectory:
     times: np.ndarray
     states: list
     gamma0: ConnectionForm
-    group_path: list | None = None
+    group_path: list
 
     def __post_init__(self):
         self.times = np.asarray(self.times, float)
@@ -115,12 +113,11 @@ class Trajectory:
             gaps = np.diff(self.times)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-15):
                 raise ValueError("trajectory requires a uniform time step")
-        if self.group_path is not None:
-            if len(self.group_path) != self.times.size:
-                raise ValueError("one group field per time sample required")
-            eye = np.eye(self.group_path[0].group.matrix_dim)
-            if not np.allclose(self.group_path[0].values, eye, atol=1e-12):
-                raise ValueError("group path must start at the identity field")
+        if len(self.group_path) != self.times.size:
+            raise ValueError("one group field per time sample required")
+        eye = np.eye(self.group_path[0].group.matrix_dim)
+        if not np.allclose(self.group_path[0].values, eye, atol=1e-12):
+            raise ValueError("group path must start at the identity field")
 
     @property
     def dt(self) -> float:
@@ -269,7 +266,7 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
     else:
         rho = cov_div_array(grid, group, gamma, w)
         rho -= group.ad_star_arr(nu, delta_l_delta_nu_array(spec, t, nu, gamma))
-    nu_dot = spec.invert_kinetic(rho, t=t, dim=grid.dim)
+    nu_dot = spec.kinetic_inverse(rho)
     return nu_dot, gamma_dot
 
 
@@ -313,17 +310,6 @@ def _rk4_stages(spec, t, grid, group, nu, gamma, dt):
         kf *= dt / 6.0
         kf += y
     return k[0], k[1], nu_a, nu_b
-
-
-def rk4_step(spec: DensitySpec, t: float, s: ReducedState, dt: float) -> ReducedState:
-    """One classical RK4 step on the (nu, gamma) pair."""
-    nu_new, gamma_new, _, _ = _rk4_stages(
-        spec, t, s.grid, s.group, s.nu.values, s.gamma.comps, dt)
-    return ReducedState(
-        AlgebraField(s.grid, s.group, nu_new),
-        ConnectionForm(s.grid, s.group, gamma_new),
-        t + dt,
-    )
 
 
 def _checked(step, field, cls, grid, group, arr):
@@ -433,9 +419,14 @@ def _time_difference(traj: Trajectory, n: int, at) -> np.ndarray:
     return out
 
 
+def _check_step(traj, n):
+    if n < 0 or n > traj.steps:
+        raise IndexError(f"step {n} outside the trajectory")
+
+
 def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
                        abar: ConnectionForm | None = None) -> DualField:
-    """Residual of the covariant form of the field equations at interior step n.
+    """Residual of the covariant form of the field equations at step n.
 
     Builds the covariant pair (sigma1, sigma2) = (nu, -gamma), takes the fiber
     derivatives of the density there, and evaluates
@@ -443,18 +434,13 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
         R = D_t(d/dsigma1) + div(d/dsigma2) + ad*_{sigma1}(d/dsigma1)
             + sum_i ad*_{sigma2_i}(d/dsigma2)_i
 
-    with D_t the centered time difference. With a background one-form abar the
-    divergence becomes the abar-covariant one and the ad* weights shift to
-    sigma2 + abar; the two evaluations agree identically (the abar terms
-    cancel), so any gap is pure roundoff.
+    with D_t the time difference of _time_difference, centred at interior
+    steps and one-sided at steps 0 and steps; any other n raises IndexError.
+    With a background one-form abar the divergence becomes the abar-covariant
+    one and the ad* weights shift to sigma2 + abar; the two evaluations agree
+    identically (the abar terms cancel), so any gap is pure roundoff.
     """
-    if n < 1 or n > traj.steps - 1:
-        raise IndexError(f"step {n} has no centered time difference")
-    return _covariant_residual(spec, traj, n, abar)
-
-
-def _covariant_residual(spec, traj, n, abar=None) -> DualField:
-    """covariant_residual at any step 0 <= n <= steps (see _time_difference)."""
+    _check_step(traj, n)
     group = traj.group
     s = traj.states[n]
     sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
@@ -472,14 +458,6 @@ def _covariant_residual(spec, traj, n, abar=None) -> DualField:
         res += np.sum(group.ad_star_arr(shifted, w_field.comps), axis=0)
     res += group.ad_star_arr(sigma1, m_now)
     return DualField(traj.grid, group, res)
-
-
-def covariant_residual_max(spec, traj, abar=None) -> float:
-    """Largest pointwise residual norm over all interior steps."""
-    worst = 0.0
-    for n in range(1, traj.steps):
-        worst = max(worst, covariant_residual(spec, traj, n, abar).max_norm())
-    return worst
 
 
 # -- variational residual ---------------------------------------------------------
@@ -513,8 +491,6 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
     dt times the cell volume) so values are comparable across resolutions.
     This is the independent Euler-Lagrange oracle for simulated trajectories.
     """
-    if traj.group_path is None:
-        raise ValueError("trajectory carries no group path")
     if traj.steps < 2:
         raise ValueError("need at least one interior step")
     rng = np.random.default_rng(seed)
@@ -552,32 +528,22 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
 def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     """Advection residual, curvature maximum and closed-form advection gap at step n.
 
-    Requires an interior step (the advection residual uses the centered time
-    difference); the gap against the closed-form transport is only reported
-    when the trajectory carries a group path.
+    The advection residual takes the time difference of _time_difference,
+    centred at interior steps and one-sided at steps 0 and steps; any other n
+    raises IndexError. Each monitor is reduced to its maximum before the next
+    is formed, so the field-sized temporaries of one monitor are freed before
+    the next.
     """
-    if n < 1 or n > traj.steps - 1:
-        raise IndexError(f"step {n} has no centered time difference")
-    return _compatibility(traj, n)
-
-
-def _compatibility(traj, n) -> dict:
-    """compatibility_monitor at any step 0 <= n <= steps (see _time_difference).
-
-    Each monitor is reduced to its maximum before the next is formed, so the
-    field-sized temporaries of one monitor are freed before the next.
-    """
+    _check_step(traj, n)
     s = traj.states[n]
     adv = cov_diff(s.gamma, s.nu).comps
     adv += _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
     advection = max_row_norm(adv)
     del adv
-    gap = np.nan
-    if traj.group_path is not None:
-        # closed - gamma, the negation of gamma - closed, has the same norms
-        closed = advect_exact(traj.group_path[n], traj.gamma0).comps
-        closed -= s.gamma.comps
-        gap = max_row_norm(closed)
+    # closed - gamma, the negation of gamma - closed, has the same norms
+    closed = advect_exact(traj.group_path[n], traj.gamma0).comps
+    closed -= s.gamma.comps
+    gap = max_row_norm(closed)
     return {
         "advection_residual": advection,
         "curvature_max": curvature_max(s.gamma),
@@ -586,15 +552,9 @@ def _compatibility(traj, n) -> dict:
 
 
 def monitor_row(spec: DensitySpec, traj: Trajectory, n: int) -> dict:
-    """The four series monitors at any step 0 <= n <= steps.
-
-    Interior steps give exactly compatibility_monitor and the max norm of
-    covariant_residual; the first and last steps evaluate the same formulas
-    with one-sided time differences.
-    """
-    if n < 0 or n > traj.steps:
-        raise IndexError(f"step {n} outside the trajectory")
-    row = _compatibility(traj, n)
+    """The four series monitors at step n: compatibility_monitor with the max
+    norm of covariant_residual inserted before the closed-form advection gap."""
+    row = compatibility_monitor(traj, n)
     gap = row.pop("exact_advect_gap")
-    cov = _covariant_residual(spec, traj, n).max_norm()
+    cov = covariant_residual(spec, traj, n).max_norm()
     return {**row, "covariant_residual": cov, "exact_advect_gap": gap}

@@ -30,7 +30,6 @@ from .lattice import (
 __all__ = [
     "StepTooLargeError",
     "ReducedState",
-    "ReducedJet",
     "gauge_act",
     "cov_diff",
     "cov_div",
@@ -39,8 +38,6 @@ __all__ = [
     "curvature",
     "advect_exact",
     "reconstruct_step",
-    "jet_from_state",
-    "state_from_jet",
 ]
 
 RECONSTRUCT_ANGLE_LIMIT = np.pi / 2
@@ -72,18 +69,6 @@ class ReducedState:
 
     def copy(self):
         return ReducedState(self.nu.copy(), self.gamma.copy(), self.t)
-
-
-@dataclass
-class ReducedJet:
-    """Covariant reduced pair (sigma1, sigma2)."""
-
-    sigma1: AlgebraField
-    sigma2: ConnectionForm
-
-    def __post_init__(self):
-        if self.sigma1.grid != self.sigma2.grid or self.sigma1.group is not self.sigma2.group:
-            raise GridMismatchError("sigma1 and sigma2 live on different grids")
 
 
 def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
@@ -196,14 +181,3 @@ def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float) -> GroupField
         )
     stepper = chi.group.exp_arr(dt * nu.values)
     return GroupField(chi.grid, chi.group, stepper @ chi.values, validate=False)
-
-
-def jet_from_state(s: ReducedState) -> ReducedJet:
-    """Covariant variables from dynamic ones: sigma1 = nu, sigma2 = -gamma."""
-    sigma2 = ConnectionForm(s.gamma.grid, s.gamma.group, -s.gamma.comps)
-    return ReducedJet(s.nu.copy(), sigma2)
-
-
-def state_from_jet(j: ReducedJet, t: float = 0.0) -> ReducedState:
-    gamma = ConnectionForm(j.sigma2.grid, j.sigma2.group, -j.sigma2.comps)
-    return ReducedState(j.sigma1.copy(), gamma, t)

@@ -52,9 +52,10 @@ class DensitySpec:
     sigma2 has shape (dim, sites..., d); value returns (sites...,), d_sigma1
     returns (sites..., d), d_sigma2 returns (dim, sites..., d).
 
-    kinetic_invertible asserts that sigma1 -> d_sigma1 is an invertible
-    site-local linear map (independent of t and sigma2); kinetic_inverse, when
-    given, applies its inverse to dual coefficients.
+    sigma1 -> d_sigma1 must be an invertible site-local linear map
+    (independent of t and sigma2); kinetic_inverse(rho) applies its inverse to
+    dual coefficients rho (sites..., d). aep_rhs passes a fresh rho and owns
+    the result, so kinetic_inverse may overwrite rho or return it.
 
     isotropic is measured by self_test: whether d_sigma1 and each axis of
     d_sigma2 are, on its samples, scalar multiples of sigma1 and sigma2_i.
@@ -64,28 +65,13 @@ class DensitySpec:
     or failed it, has False, and aep_rhs evaluates the full formula.
     """
 
-    def __init__(self, name, value, d_sigma1, d_sigma2,
-                 kinetic_invertible=True, kinetic_inverse=None):
+    def __init__(self, name, value, d_sigma1, d_sigma2, kinetic_inverse):
         self.name = name
         self.value = value
         self.d_sigma1 = d_sigma1
         self.d_sigma2 = d_sigma2
-        self.kinetic_invertible = bool(kinetic_invertible)
         self.kinetic_inverse = kinetic_inverse
         self.isotropic = False
-
-    def invert_kinetic(self, rho, t=0.0, dim=1):
-        """Apply the inverse of sigma1 -> d_sigma1 to dual coefficients rho."""
-        if not self.kinetic_invertible:
-            raise ValueError(f"density {self.name!r} has no invertible kinetic map")
-        if self.kinetic_inverse is not None:
-            return self.kinetic_inverse(rho)
-        # Build the matrix of the (site-independent) linear map by probing the basis.
-        d = rho.shape[-1]
-        s2 = np.zeros((dim, d))
-        cols = [np.asarray(self.d_sigma1(t, unit, s2), float) for unit in np.eye(d)]
-        kmat = np.stack(cols, axis=-1)
-        return np.linalg.solve(kmat, rho[..., None])[..., 0]
 
     def self_test(self, dim, algebra_dim, seed=0, eps=1e-6):
         """Check the declared fiber derivatives against central differences,
@@ -136,10 +122,9 @@ def spin_glass_spec() -> DensitySpec:
     def d_sigma2(t, s1, s2):
         return -np.asarray(s2, float)
 
-    return DensitySpec(
-        "spin_glass", value, d_sigma1, d_sigma2,
-        kinetic_invertible=True, kinetic_inverse=lambda rho: np.array(rho, copy=True),
-    )
+    # the kinetic map is the identity, so its inverse returns the rho it is given
+    return DensitySpec("spin_glass", value, d_sigma1, d_sigma2,
+                       kinetic_inverse=lambda rho: rho)
 
 
 _REGISTRY = {"spin_glass": spin_glass_spec}

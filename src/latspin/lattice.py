@@ -29,7 +29,6 @@ __all__ = [
     "ConnectionForm",
     "DualVectorField",
     "max_row_norm",
-    "central_diff",
     "d_array",
     "div_array",
     "d_alg",
@@ -81,10 +80,6 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.sizes)
-
-    @property
-    def num_sites(self) -> int:
-        return int(np.prod(self.sizes))
 
     @property
     def cell_volume(self) -> float:
@@ -270,18 +265,6 @@ def cdiff_array(arr, axis: int, h: float) -> np.ndarray:
     np.subtract(arr[lead + (0,)], arr[lead + (n - 2,)], out=out[lead + (n - 1,)])
     out /= 2.0 * h
     return out
-
-
-def central_diff(f, axis: int):
-    """Centered difference of a coefficient field along a grid axis.
-
-    Annihilates constants exactly and is antisymmetric under the periodic
-    site sum, which is the source of all exact adjointness statements.
-    """
-    if axis < 0 or axis >= f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for a {f.grid.dim}-d grid")
-    out = cdiff_array(f.values, axis, f.grid.spacing[axis])
-    return type(f)(f.grid, f.group, out)
 
 
 def d_array(values, spacing) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latspin import cli, dynamics
+from latspin import cli, dynamics, lagrangian
 from latspin.lattice import AlgebraField, Grid, snapshot, snapshot_arrays
 from latspin.lie import LogBranchError, so3
 
@@ -420,8 +420,18 @@ def test_verify_minimal_grid_guard():
             assert ok, f"{name} measured {bound:.3e} above {tol:.1e}"
 
 
-def test_verify_mutation_hook_fails_fd_match():
-    _, lines = cli.verify_suite(seed=0, sizes=(8, 4), flip_gamma_sign=True)
+def test_verify_mutation_hook_fails_fd_match(monkeypatch):
+    # a density whose d_sigma2 has the wrong sign must fail the fd oracle
+    real_spec = lagrangian.spin_glass_spec
+
+    def flipped_spec():
+        spec = real_spec()
+        good = spec.d_sigma2
+        spec.d_sigma2 = lambda t, s1, s2: -good(t, s1, s2)
+        return spec
+
+    monkeypatch.setattr(lagrangian, "spin_glass_spec", flipped_spec)
+    _, lines = cli.verify_suite(seed=0, sizes=(8, 4))
     names = {name: ok for name, ok, _, _ in lines}
     assert not names["lagrangian.fd_match_gamma.1d"]
     assert names["lagrangian.fd_match_nu.1d"]
@@ -431,9 +441,7 @@ def test_verify_cli_exit_codes():
     proc = run_cli(["verify", "--seed", "1", "--sizes", "8", "4"])
     assert proc.returncode == 1
     assert "PASS lattice.sbp.1d" in proc.stdout
-    proc = run_cli(["verify", "--seed", "1", "--sizes", "8", "4", "--flip-gamma-sign"])
-    assert proc.returncode == 1
-    assert "FAIL lagrangian.fd_match_gamma.1d" in proc.stdout
+    assert run_cli(["verify", "--flip-gamma-sign"]).returncode == 2  # no such flag
 
 
 @pytest.mark.parametrize("args,flag", [

@@ -5,16 +5,15 @@ from latspin.dynamics import (
     DivergenceError,
     SimConfig,
     Trajectory,
+    _rk4_stages,
     aep_rhs,
     compatibility_monitor,
     covariant_residual,
-    covariant_residual_max,
     energy,
     fourier_algebra_field,
     fourier_connection,
     monitor_row,
     pure_gauge_connection,
-    rk4_step,
     simulate,
     variational_residual,
 )
@@ -124,14 +123,13 @@ def container_rhs(spec, t, s):
     m = delta_l_delta_nu(spec, t, s)
     rho = cov_div(s.gamma, delta_l_delta_gamma(spec, t, s))
     rho.values -= s.group.ad_star_arr(s.nu.values, m.values)
-    nu_dot = spec.invert_kinetic(rho.values, t=t, dim=s.grid.dim)
+    nu_dot = spec.kinetic_inverse(rho.values)
     return nu_dot, -cov_diff(s.gamma, s.nu).comps
 
 
 def anisotropic_spec():
     """spin_glass with inertia diag(1, 2, 3) and stiffness diag(3, 1, 2): both
-    ad* terms of the right-hand side become non-zero, and the kinetic map is
-    inverted by its probed matrix."""
+    ad* terms of the right-hand side become non-zero."""
     inertia, stiffness = np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0])
 
     def value(t, s1, s2):
@@ -139,7 +137,8 @@ def anisotropic_spec():
         return 0.5 * (kin - np.einsum("i...a,i...a->...", stiffness * s2, s2))
 
     return DensitySpec("anisotropic", value, lambda t, s1, s2: inertia * s1,
-                       lambda t, s1, s2: -stiffness * s2)
+                       lambda t, s1, s2: -stiffness * s2,
+                       kinetic_inverse=lambda rho: rho / inertia)
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 12)])
@@ -232,6 +231,13 @@ def test_skipped_ad_star_terms_vanish_for_a_scaled_isotropic_density(g, generic)
 # -- RK4 -------------------------------------------------------------------------
 
 
+def rk4_step(spec, t, s, dt):
+    """One step of simulate's RK4 integrator on a ReducedState."""
+    nu, gamma, _, _ = _rk4_stages(spec, t, s.grid, s.group, s.nu.values, s.gamma.comps, dt)
+    return ReducedState(AlgebraField(s.grid, s.group, nu),
+                        ConnectionForm(s.grid, s.group, gamma), t + dt)
+
+
 @pytest.mark.parametrize("sizes", [(32,), (16, 12)])
 @pytest.mark.parametrize("density", [spin_glass_spec, anisotropic_spec])
 def test_rk4_step_matches_the_textbook_formula_bit_for_bit(g, sizes, density):
@@ -252,12 +258,13 @@ def test_rk4_step_matches_the_textbook_formula_bit_for_bit(g, sizes, density):
     k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
     want = [a + dt / 6.0 * (p + 2 * q + 2 * r + w)
             for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
-    s = ReducedState(AlgebraField(grid, g, nu), ConnectionForm(grid, g, gamma), t)
-    out = rk4_step(spec, t, s, dt)
-    for have, expect in zip((out.nu.values, out.gamma.comps), want):
+    # the two midpoint-stage velocities that drive the group reconstruction
+    want += [nu + 0.5 * dt * k1[0], nu + 0.5 * dt * k2[0]]
+    out = _rk4_stages(spec, t, grid, g, nu, gamma, dt)
+    assert len(out) == len(want)
+    for have, expect in zip(out, want):
         assert np.array_equal(have, expect)
         assert np.array_equal(np.signbit(have), np.signbit(expect))
-    assert out.t == t + dt
 
 
 def test_rk4_zero_state_fixed_point(spec, g, grid32):
@@ -444,12 +451,9 @@ def test_covariant_residual_background_independence(spec, g, grid32):
         assert np.max(np.abs(ra.values - r0.values)) <= ABAR_TOL * scale
 
 
-def test_covariant_residual_index_range(spec, g, grid32):
-    cfg = make_cfg(g, grid32, 12, dt=0.005, steps=4)
-    traj = simulate(cfg)
-    for bad in (0, 4):
-        with pytest.raises(IndexError):
-            covariant_residual(spec, traj, bad)
+def covariant_residual_max(spec, traj):
+    """Largest pointwise covariant residual norm over the interior steps."""
+    return max(covariant_residual(spec, traj, n).max_norm() for n in range(1, traj.steps))
 
 
 def test_covariant_residual_second_order(spec, g):
@@ -490,14 +494,6 @@ def test_variational_residual_equilibrium(spec, g, grid32):
     traj = Trajectory(0.01 * np.arange(steps + 1), states,
                       ConnectionForm.zeros(grid32, g), chis)
     assert variational_residual(spec, traj, probes=16, eps=1e-5, seed=0) <= 1e-10
-
-
-def test_variational_residual_requires_group_path(spec, g, grid32):
-    cfg = make_cfg(g, grid32, 14, dt=0.01, steps=4)
-    traj = simulate(cfg)
-    traj.group_path = None
-    with pytest.raises(ValueError):
-        variational_residual(spec, traj)
 
 
 def test_variational_residual_flags_perturbed_path(spec, g, grid32):
@@ -543,9 +539,22 @@ def test_monitor_advection_second_order(spec, g):
 
 
 def test_monitor_index_range(spec, g, grid32):
+    # both monitors serve the first and last steps, where monitor_row reads
+    # them, and reject a step outside the trajectory
     traj = simulate(make_cfg(g, grid32, 18, dt=0.01, steps=3))
-    with pytest.raises(IndexError):
-        compatibility_monitor(traj, 0)
+    for n in (0, traj.steps):
+        mon = compatibility_monitor(traj, n)
+        assert monitor_row(spec, traj, n) == {
+            "advection_residual": mon["advection_residual"],
+            "curvature_max": mon["curvature_max"],
+            "covariant_residual": covariant_residual(spec, traj, n).max_norm(),
+            "exact_advect_gap": mon["exact_advect_gap"],
+        }
+    for bad in (-1, traj.steps + 1):
+        with pytest.raises(IndexError):
+            covariant_residual(spec, traj, bad)
+        with pytest.raises(IndexError):
+            compatibility_monitor(traj, bad)
 
 
 # -- series rows -----------------------------------------------------------------------

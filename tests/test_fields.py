@@ -8,7 +8,6 @@ from latspin.dynamics import (
     pure_gauge_connection,
 )
 from latspin.fields import (
-    ReducedJet,
     ReducedState,
     StepTooLargeError,
     advect_exact,
@@ -16,9 +15,7 @@ from latspin.fields import (
     cov_div,
     curvature,
     gauge_act,
-    jet_from_state,
     reconstruct_step,
-    state_from_jet,
 )
 from latspin.lattice import (
     AlgebraField,
@@ -268,25 +265,7 @@ def test_reconstruct_step_too_large(g, grid32):
         reconstruct_step(GroupField.identity(grid32, g), nu, 0.2)
 
 
-# -- jet / state conversion -----------------------------------------------------------
-
-
-def test_jet_from_state_negates_connection(g, grid32):
-    nu = fourier_algebra_field(grid32, g, 2, 0.5, 22)
-    gamma = fourier_connection(grid32, g, 2, 0.5, 23)
-    jet = jet_from_state(ReducedState(nu, gamma, 0.0))
-    assert np.array_equal(jet.sigma1.values, nu.values)
-    assert np.array_equal(jet.sigma2.comps, -gamma.comps)
-
-
-def test_state_jet_roundtrip(g, grid32):
-    nu = fourier_algebra_field(grid32, g, 2, 0.5, 24)
-    gamma = fourier_connection(grid32, g, 2, 0.5, 25)
-    s = ReducedState(nu, gamma, 1.5)
-    back = state_from_jet(jet_from_state(s), t=1.5)
-    assert np.array_equal(back.nu.values, s.nu.values)
-    assert np.array_equal(back.gamma.comps, s.gamma.comps)
-    assert back.t == s.t
+# -- reduced state ------------------------------------------------------------------
 
 
 def test_reduced_state_grid_mismatch(g, grid32, grid2d16):
@@ -294,10 +273,3 @@ def test_reduced_state_grid_mismatch(g, grid32, grid2d16):
     gamma = ConnectionForm.zeros(grid2d16, g)
     with pytest.raises(GridMismatchError):
         ReducedState(nu, gamma, 0.0)
-
-
-def test_jet_of_zero_velocity(g, grid32):
-    gamma = fourier_connection(grid32, g, 2, 0.5, 26)
-    jet = jet_from_state(ReducedState(AlgebraField.zeros(grid32, g), gamma, 0.0))
-    assert np.max(np.abs(jet.sigma1.values)) == 0.0
-    assert np.array_equal(jet.sigma2.comps, -gamma.comps)

@@ -8,7 +8,6 @@ from latspin.dynamics import (
 )
 from latspin.fields import ReducedState, gauge_act
 from latspin.lagrangian import (
-    DensitySpec,
     available_specs,
     delta_l_delta_gamma,
     delta_l_delta_nu,
@@ -241,32 +240,3 @@ def test_spec_self_test_catches_sign_error():
     spec.d_sigma2 = lambda t, s1, s2: -good(t, s1, s2)
     with pytest.raises(ValueError):
         spec.self_test(dim=1, algebra_dim=3)
-
-
-def test_generic_kinetic_inversion():
-    # a rescaled kinetic map exercises the probing-based inverse
-    def value(t, s1, s2):
-        return 2.0 * np.einsum("...a,...a->...", s1, s1) / 2.0 - 0.5 * np.einsum(
-            "i...a,i...a->...", s2, s2
-        )
-
-    spec = DensitySpec(
-        "scaled", value,
-        d_sigma1=lambda t, s1, s2: 2.0 * np.asarray(s1, float),
-        d_sigma2=lambda t, s1, s2: -np.asarray(s2, float),
-        kinetic_invertible=True,
-    )
-    rho = np.array([[2.0, 4.0, -6.0]])
-    out = spec.invert_kinetic(rho, dim=2)
-    assert np.allclose(out, rho / 2.0, atol=1e-14)
-
-
-def test_non_invertible_kinetic_rejected():
-    spec = DensitySpec(
-        "static", lambda t, s1, s2: 0.0,
-        d_sigma1=lambda t, s1, s2: np.zeros_like(s1),
-        d_sigma2=lambda t, s1, s2: np.zeros_like(s2),
-        kinetic_invertible=False,
-    )
-    with pytest.raises(ValueError):
-        spec.invert_kinetic(np.zeros((4, 3)))
