@@ -451,6 +451,17 @@ def test_covariant_residual_background_independence(spec, g, grid32):
         assert np.max(np.abs(ra.values - r0.values)) <= ABAR_TOL * scale
 
 
+def test_covariant_residual_index_range(spec, g, grid32):
+    # the residual serves every step 0..steps, one-sided at the ends, and
+    # rejects a step outside the trajectory
+    traj = simulate(make_cfg(g, grid32, 12, dt=0.005, steps=4))
+    for n in (0, traj.steps):
+        assert np.isfinite(covariant_residual(spec, traj, n).max_norm())
+    for bad in (-1, traj.steps + 1):
+        with pytest.raises(IndexError):
+            covariant_residual(spec, traj, bad)
+
+
 def covariant_residual_max(spec, traj):
     """Largest pointwise covariant residual norm over the interior steps."""
     return max(covariant_residual(spec, traj, n).max_norm() for n in range(1, traj.steps))
@@ -539,8 +550,8 @@ def test_monitor_advection_second_order(spec, g):
 
 
 def test_monitor_index_range(spec, g, grid32):
-    # both monitors serve the first and last steps, where monitor_row reads
-    # them, and reject a step outside the trajectory
+    # compatibility_monitor serves the first and last steps, where monitor_row
+    # reads it, and rejects a step outside the trajectory
     traj = simulate(make_cfg(g, grid32, 18, dt=0.01, steps=3))
     for n in (0, traj.steps):
         mon = compatibility_monitor(traj, n)
@@ -551,8 +562,6 @@ def test_monitor_index_range(spec, g, grid32):
             "exact_advect_gap": mon["exact_advect_gap"],
         }
     for bad in (-1, traj.steps + 1):
-        with pytest.raises(IndexError):
-            covariant_residual(spec, traj, bad)
         with pytest.raises(IndexError):
             compatibility_monitor(traj, bad)
 
