@@ -170,8 +170,14 @@ def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:
     return gauge_act(chi.inverse(), gamma0)
 
 
-def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float) -> GroupField:
-    """Exponential Euler update chi <- exp(dt nu) chi, sitewise."""
+def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float,
+                     stepper=None) -> GroupField:
+    """Exponential Euler update chi <- exp(dt nu) chi, sitewise.
+
+    stepper, when given, is exp(dt nu) as the caller formed it (simulate
+    exponentiates both substeps of a small lattice in one call); the angle
+    check is made either way.
+    """
     _check_same_grid(chi, nu)
     angle = dt * nu.max_norm()
     if angle >= RECONSTRUCT_ANGLE_LIMIT:
@@ -179,5 +185,6 @@ def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float) -> GroupField
             f"dt * max|nu| = {angle:.3e} exceeds the per-step limit "
             f"{RECONSTRUCT_ANGLE_LIMIT:.3f}"
         )
-    stepper = chi.group.exp_arr(dt * nu.values)
+    if stepper is None:
+        stepper = chi.group.exp_arr(dt * nu.values)
     return GroupField(chi.grid, chi.group, stepper @ chi.values, validate=False)

@@ -99,10 +99,16 @@ def max_row_norm(arr) -> float:
     """Largest Euclidean norm over the last axis (0.0 for an empty array).
 
     In the kappa-orthonormal basis this is the largest pointwise kappa-norm.
-    The row norms are the expression np.linalg.norm(arr, axis=-1) evaluates
-    for a real array, without its dispatch.
+    The squared norms are component sums from +0.0, ((0 + x0^2) + x1^2) +
+    ..., in the order in which np.linalg.norm(arr, axis=-1) sums them, so
+    they have its bits for any last-axis length. The largest is taken before
+    the square root, which is monotone, so one root serves every row.
     """
-    return float(np.max(np.sqrt(np.add.reduce(arr * arr, axis=-1)), initial=0.0))
+    sq = arr * arr
+    total = np.zeros(sq.shape[:-1])
+    for j in range(sq.shape[-1]):
+        total += sq[..., j]
+    return math.sqrt(np.maximum.reduce(total, axis=None, initial=0.0))
 
 
 def _check_same_grid(a, b):
@@ -112,18 +118,23 @@ def _check_same_grid(a, b):
 
 @dataclass
 class AlgebraField:
-    """Map from the lattice into the Lie algebra, stored as coefficients (sites..., d)."""
+    """Map from the lattice into the Lie algebra, stored as coefficients (sites..., d).
+
+    validate=False skips the finiteness check, for values the caller knows
+    to be finite.
+    """
 
     grid: Grid
     group: MatrixGroup
     values: np.ndarray
+    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
         want = self.grid.sizes + (self.group.algebra_dim,)
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if self.validate and not np.isfinite(self.values).all():
             raise NonFiniteError("field values must be finite")
 
     @classmethod
@@ -150,7 +161,7 @@ class DualField:
         want = self.grid.sizes + (self.group.algebra_dim,)
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteError("field values must be finite")
 
     @classmethod
@@ -206,7 +217,7 @@ class ConnectionForm:
         want = (self.grid.dim,) + self.grid.sizes + (self.group.algebra_dim,)
         if self.comps.shape != want:
             raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
-        if not np.all(np.isfinite(self.comps)):
+        if not np.isfinite(self.comps).all():
             raise NonFiniteError("one-form components must be finite")
 
     @classmethod
@@ -233,7 +244,7 @@ class DualVectorField:
         want = (self.grid.dim,) + self.grid.sizes + (self.group.algebra_dim,)
         if self.comps.shape != want:
             raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
-        if not np.all(np.isfinite(self.comps)):
+        if not np.isfinite(self.comps).all():
             raise NonFiniteError("vector field components must be finite")
 
     @classmethod
@@ -247,36 +258,53 @@ class DualVectorField:
 # -- operators ---------------------------------------------------------------
 
 
-def cdiff_array(arr, axis: int, h: float) -> np.ndarray:
+def cdiff_array(arr, axis: int, h: float, out=None) -> np.ndarray:
     """Centered difference with periodic wraparound along a site axis.
 
     The bits of (roll(arr, -1) - roll(arr, 1)) / (2h) without the two rolled
     copies. Neighbours along the axis sit step entries apart in the flat C
     layout, so one contiguous subtraction covers every site; the first and
     last site of the axis, where that pairs entries across the wrap, are
-    then overwritten with their periodic neighbours.
+    then overwritten in one more subtraction, from the reversed neighbour
+    pairs (1, 0) and (n-1, n-2).
+
+    The result goes into out when given (a C-contiguous float array of arr's
+    shape, such as one axis slice of d_array's result), else into a fresh
+    array.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
-    n, step = arr.shape[axis], math.prod(arr.shape[axis + 1:])
-    flat, out = arr.reshape(-1), np.empty_like(arr)
-    np.subtract(flat[2 * step:], flat[:-2 * step], out=out.reshape(-1)[step:-step])
+    if out is None:
+        out = np.empty(arr.shape)
+    elif out.shape != arr.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the input's shape")
+    n, step, flat = arr.shape[axis], arr.strides[axis] // arr.itemsize, arr.ravel()
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=out.ravel()[step:-step])
     lead = (slice(None),) * axis
-    np.subtract(arr[lead + (1,)], arr[lead + (n - 1,)], out=out[lead + (0,)])
-    np.subtract(arr[lead + (0,)], arr[lead + (n - 2,)], out=out[lead + (n - 1,)])
+    np.subtract(arr[lead + (slice(1, None, -1),)], arr[lead + (slice(None, -3, -1),)],
+                out=out[lead + (slice(None, None, n - 1),)])
     out /= 2.0 * h
     return out
 
 
 def d_array(values, spacing) -> np.ndarray:
-    """Exterior derivative of coefficients (sites..., d): one cdiff per axis."""
-    return np.stack([cdiff_array(values, i, h) for i, h in enumerate(spacing)])
+    """Exterior derivative of coefficients (sites..., d): one cdiff per axis,
+    each written into its slice of the (dim, sites..., d) result."""
+    out = np.empty((len(spacing),) + values.shape)
+    for i, h in enumerate(spacing):
+        cdiff_array(values, i, h, out=out[i])
+    return out
 
 
 def div_array(comps, spacing) -> np.ndarray:
-    """Divergence of per-axis coefficients (dim, sites..., d): sum of cdiffs."""
-    out = np.zeros(comps.shape[1:])
-    for i, h in enumerate(spacing):
-        out += cdiff_array(comps[i], i, h)
+    """Divergence of per-axis coefficients (dim, sites..., d): sum of cdiffs.
+
+    The sum starts from +0.0, (0 + D_0 w_0) + D_1 w_1, which turns a -0.0 of
+    the first term into +0.0; it is formed in the first term's buffer.
+    """
+    out = cdiff_array(comps[0], 0, spacing[0])
+    out += 0.0
+    for i in range(1, len(spacing)):
+        out += cdiff_array(comps[i], i, spacing[i])
     return out
 
 

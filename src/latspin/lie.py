@@ -207,6 +207,14 @@ class MatrixGroup:
         return f"MatrixGroup({self.name!r}, dim={self.matrix_dim}, algebra_dim={self.algebra_dim})"
 
 
+# The identity of the Rodrigues sum, and the series of sin(t)/t and
+# (1 - cos t)/t^2 in t2 = t^2, one row each, lead - t2 / c2 + t2 * t2 / c4, so
+# that _so3_exp evaluates both in one pass.
+_EYE3 = np.eye(3)
+_SERIES_LEAD = np.array([[1.0], [0.5]])
+_SERIES_T2 = np.array([[6.0], [24.0]])
+_SERIES_T4 = np.array([[120.0], [720.0]])
+
 # Closed forms of the so(3) kernels in the hat-map basis. Each is the
 # structure-tensor einsum of the generic path written out: the same products
 # and sums in the same rounding, so the results agree bit for bit. The einsum
@@ -234,12 +242,15 @@ def _so3_cross(x, y) -> np.ndarray:
 
 
 def _so3_hat(c) -> np.ndarray:
-    """Skew matrix of c, filled component by component."""
-    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    """Skew matrix of c, filled component by component.
+
+    The entries are c + 0.0 and 0.0 - c, so that none is -0.0, as in the
+    structure-tensor einsum.
+    """
+    pos, neg = c + 0.0, 0.0 - c
     k = np.zeros(c.shape[:-1] + (3, 3))
-    k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = c0, c1, c2
-    k[..., 1, 2], k[..., 2, 0], k[..., 0, 1] = -c0, -c1, -c2
-    k += 0.0
+    k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = pos[..., 0], pos[..., 1], pos[..., 2]
+    k[..., 1, 2], k[..., 2, 0], k[..., 0, 1] = neg[..., 0], neg[..., 1], neg[..., 2]
     return k
 
 
@@ -255,27 +266,33 @@ def _so3_vee(m) -> np.ndarray:
 def _so3_exp(coeffs, k) -> np.ndarray:
     """Rodrigues formula I + a k + b k^2; k is the hat matrix of coeffs.
 
-    a = sin(t)/t and b = (1-cos t)/t^2 are the quotients, overwritten by
-    their series where the angle t is below 1e-4. The sum is built as
+    a = sin(t)/t and b = (1-cos t)/t^2 are the quotients. Only where some
+    angle t is below 1e-4 are they formed under errstate (a zero angle gives
+    0/0) and overwritten by their series at those entries, both series in
+    one pass; otherwise no quotient is 0/0, and they are the whole of a and
+    b. The sum is built as
     a k + I + b (k @ k), the same sums as eye + a k + b (k @ k), in two
     (..., 3, 3) buffers: k @ k, and k itself, which is overwritten and
     returned.
     """
-    # np.asarray: for one element these are numpy scalars, which the masked
-    # writes below cannot index
-    theta2 = np.asarray(np.einsum("...a,...a->...", coeffs, coeffs))
+    theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
     theta = np.sqrt(theta2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.asarray(np.sin(theta) / theta)
-        b = np.asarray((1.0 - np.cos(theta)) / theta2)
     small = theta < 1e-4
-    t2 = theta2[small]
-    a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    if small.any():
+        # np.asarray: for one element these are numpy scalars, which the
+        # masked writes below cannot index
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = np.asarray(np.sin(theta) / theta)
+            b = np.asarray((1.0 - np.cos(theta)) / theta2)
+        t2 = theta2[small]
+        a[small], b[small] = _SERIES_LEAD - t2 / _SERIES_T2 + t2 * t2 / _SERIES_T4
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta2
     kk = k @ k
     kk *= b[..., None, None]
     k *= a[..., None, None]
-    k += np.eye(3)
+    k += _EYE3
     k += kk
     return k
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latspin import dynamics
 from latspin.dynamics import (
     DivergenceError,
     SimConfig,
@@ -267,6 +268,28 @@ def test_rk4_step_matches_the_textbook_formula_bit_for_bit(g, sizes, density):
         assert np.array_equal(np.signbit(have), np.signbit(expect))
 
 
+@pytest.mark.parametrize("sizes", [(32,), (8, 6)])
+@pytest.mark.parametrize("density", [spin_glass_spec, anisotropic_spec])
+def test_a_non_finite_midpoint_velocity_makes_the_new_gamma_non_finite(g, sizes, density):
+    # why simulate checks only the new state: a midpoint velocity that is not
+    # finite reaches the new gamma through the next stage's cov_diff
+    spec = density()
+    spec.self_test(dim=len(sizes), algebra_dim=3)
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    rng = np.random.default_rng(11)
+    overflowed = 0
+    for scale in (1e100, 1e300, 1e306, 1e307):
+        for dt in (1e-3, 1.0, 1e3):
+            nu = rng.normal(size=sizes + (3,)) * scale
+            gamma = rng.normal(size=(len(sizes),) + sizes + (3,)) * scale
+            with np.errstate(all="ignore"):
+                _, gamma_new, nu_a, nu_b = _rk4_stages(spec, 0.0, grid, g, nu, gamma, dt)
+            if not (np.isfinite(nu_a).all() and np.isfinite(nu_b).all()):
+                overflowed += 1
+                assert not np.isfinite(gamma_new).all()
+    assert overflowed
+
+
 def test_rk4_zero_state_fixed_point(spec, g, grid32):
     s = ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g), 0.0)
     out = rk4_step(spec, 0.0, s, 0.01)
@@ -387,6 +410,23 @@ def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):
     for a, b in pairs:
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("sizes", [(32,), (16, 12)])
+def test_batched_substep_exponentials_match_one_per_substep_bit_for_bit(
+        spec, g, sizes, monkeypatch):
+    # a small lattice exponentiates both reconstruction substeps in one call,
+    # a large one each on its own; angles both below and above the series
+    # cutoff of _so3_exp occur in these runs
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    cfg = SimConfig(grid, g, spec, fourier_algebra_field(grid, g, 2, 0.5, 1),
+                    fourier_connection(grid, g, 2, 0.3, 2), dt=0.001, steps=12)
+    batched = simulate(cfg)
+    monkeypatch.setattr(dynamics, "BATCHED_EXP_SITES", 0)
+    single = simulate(cfg)
+    for a, b in zip(batched.group_path, single.group_path):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
 
 
 def test_simconfig_rejects_large_dt(spec, g, grid32):

@@ -84,7 +84,9 @@ def test_central_diff_fourier_symbol(g, grid32):
     ((4, 3), (0,)), ((32, 3), (0,)), ((64, 64, 3), (0, 1)),
     ((16, 12, 3), (0, 1)), ((64, 64, 3, 3), (0, 1)),
 ])
-@pytest.mark.parametrize("layout", ["C", "F"])
+# "C-out-slice": a C-layout input whose difference is also written into one
+# axis slice of a larger (dim, sites..., d) array, as d_array fills it
+@pytest.mark.parametrize("layout", ["C", "F", "C-out-slice"])
 def test_cdiff_array_matches_roll_formula_bit_for_bit(shape, axes, layout):
     rand = np.random.default_rng(5).normal(size=shape)
     rand[rand > 1.2] = 0.0
@@ -93,10 +95,19 @@ def test_cdiff_array_matches_roll_formula_bit_for_bit(shape, axes, layout):
         # -0.0 - +0.0 is -0.0: site 1 of the axis must come out as -0.0
         vals = np.moveaxis(rand.copy(), axis, 0)
         vals[0], vals[2] = 0.0, -0.0
-        vals = np.asarray(np.moveaxis(vals, 0, axis), order=layout)
+        vals = np.asarray(np.moveaxis(vals, 0, axis), order=layout[0])
         h = 1.0 / shape[axis]
         want = (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (2.0 * h)
         got = cdiff_array(vals, axis, h)
+        if layout == "C-out-slice":
+            block = np.full((len(axes),) + shape, np.nan)
+            assert np.shares_memory(cdiff_array(vals, axis, h, out=block[axis]), block)
+            assert np.array_equal(block[axis], got)
+            assert np.array_equal(np.signbit(block[axis]), np.signbit(got))
+            got = block[axis]
+            # the flat stencil cannot write through a strided view
+            with pytest.raises(ValueError):
+                cdiff_array(vals, axis, h, out=np.empty(shape[::-1]).T)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.any((want == 0.0) & np.signbit(want))
