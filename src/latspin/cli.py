@@ -229,7 +229,7 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_rows(spec, traj, steps):
-    """Monitor rows at the given steps of a Trajectory or a StepWindow."""
+    """Monitor rows at the given steps; traj holds steps n-1..n+1 of each step n."""
     rows = []
     for n in steps:
         t, s = traj.times[n], traj.states[n]
@@ -295,6 +295,13 @@ def _make_dir(path):
     return None
 
 
+def _write_failed(outdir, exc):
+    """Print why an output file under outdir could not be written; exit code 2."""
+    print(f"error: output directory: cannot write {exc.filename or outdir!r}: "
+          f"{exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _read_config(path):
     """The JSON object in the file at path, or None once the reason is printed."""
     try:
@@ -325,24 +332,27 @@ def run_simulate(config_path, outdir) -> int:
 
     rows = []
 
-    def visit(window, n):
+    def visit(traj, n):
         if n % cfg.cadence == 0 or n == cfg.steps:
-            rows.extend(trajectory_rows(cfg.spec, window, [n]))
-            _write_state(outdir, window, n)
+            rows.extend(trajectory_rows(cfg.spec, traj, [n]))
+            _write_state(outdir, traj, n)
 
     report, exit_code = {"config": raw, "status": "ok"}, 0
     try:
-        dynamics.simulate(cfg, visit)
-    except dynamics.DivergenceError as exc:
-        # the rows and snapshots of the steps before the failure stay
-        report.update(status="diverged", failed_step=exc.step,
-                      failed_cause=exc.cause, failed_field=exc.field)
-        print(f"error: {exc}", file=sys.stderr)
-        exit_code = 3
-    report["rows"] = rows
-    write_series(os.path.join(outdir, "series.csv"), rows)
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+        try:
+            dynamics.simulate(cfg, visit)
+        except dynamics.DivergenceError as exc:
+            # the rows and snapshots of the steps before the failure stay
+            report.update(status="diverged", failed_step=exc.step,
+                          failed_cause=exc.cause, failed_field=exc.field)
+            print(f"error: {exc}", file=sys.stderr)
+            exit_code = 3
+        report["rows"] = rows
+        write_series(os.path.join(outdir, "series.csv"), rows)
+        with open(os.path.join(outdir, "report.json"), "w") as fh:
+            json.dump(report, fh, indent=2)
+    except OSError as exc:
+        return _write_failed(outdir, exc)
     return exit_code
 
 
@@ -579,8 +589,11 @@ def run_convergence(config_path) -> int:
     orders = convergence_orders(measurements)
     payload = {"measurements": measurements, "orders": orders,
                "threshold": ORDER_THRESHOLD}
-    with open(os.path.join(out_dir, "orders.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    try:
+        with open(os.path.join(out_dir, "orders.json"), "w") as fh:
+            json.dump(payload, fh, indent=2)
+    except OSError as exc:
+        return _write_failed(out_dir, exc)
     ok = True
     for key, order in orders.items():
         passed = order >= ORDER_THRESHOLD

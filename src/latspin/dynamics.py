@@ -16,8 +16,8 @@ closed-form advection solution, and the curvature.
 covariant_residual and compatibility_monitor serve every step 0..steps: their
 time differences are centred at interior steps and one-sided at the first and
 last steps. monitor_row, the four series monitors, is their composition. They
-read steps n-1..n+1 only, so they run on a full Trajectory or on the
-StepWindow that simulate passes to its visitor while stepping.
+read steps n-1..n+1 only, so they run on the Trajectory that simulate returns
+or on the one it passes to its visitor while stepping, which holds just those.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "ModesError",
     "Trajectory",
     "SimConfig",
-    "StepWindow",
     "fourier_algebra_field",
     "fourier_connection",
     "pure_gauge_connection",
@@ -97,53 +96,13 @@ class DivergenceError(RuntimeError):
 
     cause "non_finite" with field "nu" or "gamma": the new state holds NaN or
     inf (a non-finite midpoint velocity carries into it). cause
-    "step_too_large" with
-    field "chi": a reconstruction substep overruns the per-step rotation limit.
+    "step_too_large" with field "chi": a reconstruction substep overruns the
+    per-step rotation limit.
     """
 
     def __init__(self, step: int, cause: str, field: str):
         super().__init__(f"{cause} in {field} at step {step}")
         self.step, self.cause, self.field = step, cause, field
-
-
-@dataclass
-class Trajectory:
-    """Uniform-step trajectory of reduced states with reconstructed group path."""
-
-    times: np.ndarray
-    states: list
-    gamma0: ConnectionForm
-    group_path: list
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, float)
-        if len(self.states) != self.times.size:
-            raise ValueError("one state per time sample required")
-        if self.times.size > 1:
-            gaps = np.diff(self.times)
-            if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-15):
-                raise ValueError("trajectory requires a uniform time step")
-        if len(self.group_path) != self.times.size:
-            raise ValueError("one group field per time sample required")
-        eye = np.eye(self.group_path[0].group.matrix_dim)
-        if not np.allclose(self.group_path[0].values, eye, atol=1e-12):
-            raise ValueError("group path must start at the identity field")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
-
-    @property
-    def steps(self) -> int:
-        return self.times.size - 1
-
-    @property
-    def grid(self):
-        return self.states[0].grid
-
-    @property
-    def group(self):
-        return self.states[0].group
 
 
 @dataclass
@@ -239,7 +198,7 @@ def fourier_connection(grid, group, modes, amplitude, seed) -> ConnectionForm:
 def group_field_from_profile(grid, group, modes, amplitude, seed) -> GroupField:
     """exp of a seeded band-limited algebra field."""
     xi = fourier_algebra_field(grid, group, modes, amplitude, seed)
-    return GroupField(grid, group, group.exp_arr(xi.values), validate=False)
+    return GroupField(grid, group, group.exp_arr(xi.values))
 
 
 def pure_gauge_connection(grid, group, modes, amplitude, seed) -> ConnectionForm:
@@ -330,20 +289,18 @@ def _checked(step, field, cls, grid, group, arr):
         raise DivergenceError(step, "non_finite", field) from exc
 
 
-class StepWindow:
-    """Steps n-1, n and n+1 of a running simulation, indexed like a Trajectory.
+class Trajectory:
+    """The run of simulate: reduced states and reconstructed group path by step.
 
     times, states and group_path map a held step index to its value; grid,
-    group, dt, steps and gamma0 come from the configuration (gamma0 is the
-    configuration's field itself, which nothing here writes to). simulate
-    drops the oldest step after each visit, so a window holds at most three
-    steps.
+    group, dt, steps and gamma0 come from the configuration (step 0 holds the
+    configuration's nu0 and gamma0 themselves, which nothing here writes to).
+    A visited run holds steps n-1..n+1 at the visit of step n.
     """
 
     def __init__(self, cfg: SimConfig):
-        self.grid, self.group = cfg.grid, cfg.group
+        self.grid, self.group, self.gamma0 = cfg.grid, cfg.group, cfg.gamma0
         self.dt, self.steps = cfg.dt, cfg.steps
-        self.gamma0 = cfg.gamma0
         self.times, self.states, self.group_path = {}, {}, {}
 
     def _push(self, k, state, chi):
@@ -356,29 +313,24 @@ class StepWindow:
             held.pop(k, None)
 
 
-def simulate(cfg: SimConfig, visit=None) -> Trajectory | None:
+def simulate(cfg: SimConfig, visit=None) -> Trajectory:
     """Integrate the reduced system, reconstructing the group path alongside.
 
-    visit(window, n) is called for n = 0..steps once step n+1 exists (for the
-    last step, after the loop), with a StepWindow holding steps n-1..n+1;
-    step n-1 is dropped after the call, so memory does not grow with steps.
-    Without visit, every step is collected and the Trajectory is returned.
+    visit(traj, n) is called for n = 0..steps once step n+1 exists (for the
+    last step, after the loop), and step n-1 is dropped after the call, so a
+    visited run holds steps n-1..n+1 and its memory does not grow with steps.
+    Without visit, every step is kept. The Trajectory is returned either way.
 
     Raises DivergenceError (carrying the step index, cause and field) as soon
     as the new state holds a non-finite entry (an RK4 stage that overflows
     carries it there), or a reconstruction substep overruns its rotation
     limit; the visits of earlier steps have been made by then.
     """
-    collected = [] if visit is None else None
-    if visit is None:
-        def visit(window, n):
-            collected.append((window.times[n], window.states[n], window.group_path[n]))
-
     grid, group, spec, dt = cfg.grid, cfg.group, cfg.spec, cfg.dt
-    window = StepWindow(cfg)
-    state = ReducedState(cfg.nu0.copy(), cfg.gamma0.copy(), 0.0)
+    traj = Trajectory(cfg)
+    state = ReducedState(cfg.nu0, cfg.gamma0, 0.0)
     chi = GroupField.identity(grid, group)
-    window._push(0, state, chi)
+    traj._push(0, state, chi)
     batched_exp = math.prod(grid.sizes) <= BATCHED_EXP_SITES
     for n in range(cfg.steps):
         # overflow is reported once, as the DivergenceError, not as warnings
@@ -394,23 +346,21 @@ def simulate(cfg: SimConfig, visit=None) -> Trajectory | None:
             if batched_exp:
                 steppers = group.exp_arr((0.5 * dt) * np.array((nu_a, nu_b)))
             try:
+                # the midpoint velocities are finite, as the new state is: a
+                # non-finite one makes the new gamma non-finite via cov_diff
                 for nu_mid, stepper in zip((nu_a, nu_b), steppers):
-                    # finite, as the new state is: a non-finite midpoint
-                    # velocity makes the cov_diff of the next stage, and
-                    # with it the new gamma, non-finite
-                    velocity = AlgebraField(grid, group, nu_mid, validate=False)
-                    chi = reconstruct_step(chi, velocity, 0.5 * dt, stepper)
+                    chi = reconstruct_step(chi, nu_mid, 0.5 * dt, stepper)
             except StepTooLargeError as exc:
                 # a blowing-up but finite state overruns the rotation limit
                 raise DivergenceError(n + 1, "step_too_large", "chi") from exc
-        window._push(n + 1, state, chi)
-        visit(window, n)
-        window._drop(n - 1)
-    visit(window, cfg.steps)
-    if collected is None:
-        return None
-    times, states, chis = zip(*collected)
-    return Trajectory(np.array(times), list(states), window.gamma0, list(chis))
+        traj._push(n + 1, state, chi)
+        if visit:
+            visit(traj, n)
+            traj._drop(n - 1)
+    if visit:
+        visit(traj, cfg.steps)
+        traj._drop(cfg.steps - 1)
+    return traj
 
 
 def energy(spec: DensitySpec, t: float, s: ReducedState) -> float:
@@ -524,7 +474,7 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
         chi_n = traj.group_path[n]
 
         def local_action(chi_mat):
-            chi_pert = GroupField(grid, group, chi_mat, validate=False)
+            chi_pert = GroupField(grid, group, chi_mat)
             term_prev = _action_term(spec, traj, n - 1, endpoint=chi_pert)
             term_here = _action_term(spec, traj, n, base=chi_pert)
             return term_prev + term_here

@@ -36,6 +36,7 @@ __all__ = [
     "cov_diff_array",
     "cov_div_array",
     "curvature",
+    "curvature_max",
     "advect_exact",
     "reconstruct_step",
 ]
@@ -66,9 +67,6 @@ class ReducedState:
     @property
     def group(self):
         return self.nu.group
-
-    def copy(self):
-        return ReducedState(self.nu.copy(), self.gamma.copy(), self.t)
 
 
 def gauge_act(lam: GroupField, gamma: ConnectionForm) -> ConnectionForm:
@@ -170,21 +168,20 @@ def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:
     return gauge_act(chi.inverse(), gamma0)
 
 
-def reconstruct_step(chi: GroupField, nu: AlgebraField, dt: float,
-                     stepper=None) -> GroupField:
+def reconstruct_step(chi: GroupField, nu, dt: float, stepper=None) -> GroupField:
     """Exponential Euler update chi <- exp(dt nu) chi, sitewise.
 
+    nu is the velocity's coefficient array (sites..., d), as in aep_rhs.
     stepper, when given, is exp(dt nu) as the caller formed it (simulate
     exponentiates both substeps of a small lattice in one call); the angle
     check is made either way.
     """
-    _check_same_grid(chi, nu)
-    angle = dt * nu.max_norm()
+    angle = dt * max_row_norm(nu)
     if angle >= RECONSTRUCT_ANGLE_LIMIT:
         raise StepTooLargeError(
             f"dt * max|nu| = {angle:.3e} exceeds the per-step limit "
             f"{RECONSTRUCT_ANGLE_LIMIT:.3f}"
         )
     if stepper is None:
-        stepper = chi.group.exp_arr(dt * nu.values)
-    return GroupField(chi.grid, chi.group, stepper @ chi.values, validate=False)
+        stepper = chi.group.exp_arr(dt * nu)
+    return GroupField(chi.grid, chi.group, stepper @ chi.values)

@@ -38,6 +38,7 @@ __all__ = [
     "delta_l_delta_nu_array",
     "delta_l_delta_gamma_array",
     "fd_gradient_oracle",
+    "reduction_identity_gap",
 ]
 
 SELF_TEST_TOL = 1e-6

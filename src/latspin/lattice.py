@@ -13,7 +13,7 @@ exactly the negative L2 adjoint of the covariant differential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "ConnectionForm",
     "DualVectorField",
     "max_row_norm",
+    "cdiff_array",
     "d_array",
     "div_array",
     "d_alg",
@@ -118,31 +119,23 @@ def _check_same_grid(a, b):
 
 @dataclass
 class AlgebraField:
-    """Map from the lattice into the Lie algebra, stored as coefficients (sites..., d).
-
-    validate=False skips the finiteness check, for values the caller knows
-    to be finite.
-    """
+    """Map from the lattice into the Lie algebra, stored as coefficients (sites..., d)."""
 
     grid: Grid
     group: MatrixGroup
     values: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
         want = self.grid.sizes + (self.group.algebra_dim,)
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if self.validate and not np.isfinite(self.values).all():
+        if not np.isfinite(self.values).all():
             raise NonFiniteError("field values must be finite")
 
     @classmethod
     def zeros(cls, grid, group):
         return cls(grid, group, np.zeros(grid.sizes + (group.algebra_dim,)))
-
-    def copy(self):
-        return AlgebraField(self.grid, self.group, self.values.copy())
 
     def max_norm(self) -> float:
         return max_row_norm(self.values)
@@ -174,12 +167,13 @@ class DualField:
 
 @dataclass
 class GroupField:
-    """Map from the lattice into G, stored as matrices (sites..., n, n)."""
+    """Map from the lattice into G, stored as matrices (sites..., n, n).
+
+    Only field_from_snapshot, where outside data enters, checks membership."""
 
     grid: Grid
     group: MatrixGroup
     values: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
@@ -187,21 +181,19 @@ class GroupField:
         want = self.grid.sizes + (n, n)
         if self.values.shape != want:
             raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if self.validate:
-            self.group.check_membership(self.values)
 
     @classmethod
     def identity(cls, grid, group):
         eye = np.broadcast_to(group.identity(), grid.sizes + (group.matrix_dim,) * 2)
-        return cls(grid, group, eye.copy(), validate=False)
+        return cls(grid, group, eye.copy())
 
     def inverse(self) -> "GroupField":
-        return GroupField(self.grid, self.group, self.group.inverse_arr(self.values), validate=False)
+        return GroupField(self.grid, self.group, self.group.inverse_arr(self.values))
 
     def compose(self, other: "GroupField") -> "GroupField":
         """Pointwise product self * other."""
         _check_same_grid(self, other)
-        return GroupField(self.grid, self.group, self.values @ other.values, validate=False)
+        return GroupField(self.grid, self.group, self.values @ other.values)
 
 
 @dataclass
@@ -224,9 +216,6 @@ class ConnectionForm:
     def zeros(cls, grid, group):
         return cls(grid, group, np.zeros((grid.dim,) + grid.sizes + (group.algebra_dim,)))
 
-    def copy(self):
-        return ConnectionForm(self.grid, self.group, self.comps.copy())
-
     def max_norm(self) -> float:
         return max_row_norm(self.comps)
 
@@ -246,10 +235,6 @@ class DualVectorField:
             raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
         if not np.isfinite(self.comps).all():
             raise NonFiniteError("vector field components must be finite")
-
-    @classmethod
-    def zeros(cls, grid, group):
-        return cls(grid, group, np.zeros((grid.dim,) + grid.sizes + (group.algebra_dim,)))
 
     def max_norm(self) -> float:
         return max_row_norm(self.comps)
@@ -398,17 +383,19 @@ def snapshot(f) -> dict:
 
 
 def field_from_snapshot(snap: dict, group: MatrixGroup):
+    """The field a snapshot describes; a "group" snapshot must lie in group."""
     if snap["group"] != group.name:
         raise GridMismatchError(
             f"snapshot group {snap['group']!r} does not match {group.name!r}"
         )
     grid = Grid(tuple(snap["sizes"]), tuple(snap["spacing"]))
     cls = _KINDS[snap["kind"]]
+    data = np.asarray(snap["data"], float)
     if cls is GroupField:
-        shape = grid.sizes + (group.matrix_dim,) * 2
+        data = data.reshape(grid.sizes + (group.matrix_dim,) * 2)
+        group.check_membership(data)
     elif cls in (ConnectionForm, DualVectorField):
-        shape = (grid.dim,) + grid.sizes + (group.algebra_dim,)
+        data = data.reshape((grid.dim,) + grid.sizes + (group.algebra_dim,))
     else:
-        shape = grid.sizes + (group.algebra_dim,)
-    data = np.asarray(snap["data"], float).reshape(shape)
+        data = data.reshape(grid.sizes + (group.algebra_dim,))
     return cls(grid, group, data)

@@ -25,6 +25,7 @@ __all__ = [
     "LogBranchError",
     "MatrixGroup",
     "so3",
+    "group_by_name",
 ]
 
 STRUCTURE_TOL = 1e-12

@@ -308,6 +308,31 @@ def test_convergence_output_dir_is_a_file_exits_2_before_the_ladder(tmp_path):
     assert "config key 'output_dir'" in proc.stderr
 
 
+def test_simulate_with_a_directory_in_place_of_a_snapshot_exits_2(tmp_path):
+    # a directory cannot be opened for writing, by root either
+    outdir = tmp_path / "out"
+    (outdir / "state_0.json").mkdir(parents=True)
+    proc = run_cli(["simulate", write_config(tmp_path, ZERO_CONFIG), str(outdir)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: output directory: ")
+    assert "state_0.json" in proc.stderr
+
+
+def test_convergence_with_a_directory_in_place_of_orders_exits_2(tmp_path):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg["ladder"] = {"sizes": [8, 16, 32]}
+    cfg["output_dir"] = str(tmp_path / "conv")
+    (tmp_path / "conv" / "orders.json").mkdir(parents=True)
+    proc = run_cli(["convergence", write_config(tmp_path, cfg)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: output directory: ")
+    assert "orders.json" in proc.stderr
+
+
 STREAM_2D = {
     "grid": {"dim": 2, "sizes": [16, 12], "spacing": [1.0 / 16, 1.0 / 12]},
     "group": "SO3",

@@ -354,7 +354,7 @@ def test_simulate_equilibrium_stays_zero(spec, g, grid32):
         dt=0.01, steps=10,
     )
     traj = simulate(cfg)
-    for s in traj.states:
+    for s in traj.states.values():
         assert np.max(np.abs(s.nu.values)) == 0.0
         assert np.max(np.abs(s.gamma.comps)) == 0.0
 
@@ -363,7 +363,7 @@ def test_simulate_energy_conservation(spec, g, grid32):
     cfg = make_cfg(g, grid32, 4, dt=1e-3, steps=1000, nu_amp=0.5, gamma_amp=0.3)
     traj = simulate(cfg)
     e0 = energy(spec, 0.0, traj.states[0])
-    drift = abs(energy(spec, 1.0, traj.states[-1]) - e0) / abs(e0)
+    drift = abs(energy(spec, 1.0, traj.states[traj.steps]) - e0) / abs(e0)
     assert drift <= ENERGY_DRIFT_TOL
 
 
@@ -403,9 +403,11 @@ def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):
         ))
         for group in (g, clone)
     )
-    pairs = [(a.nu.values, b.nu.values) for a, b in zip(fast.states, generic.states)]
-    pairs += [(a.gamma.comps, b.gamma.comps) for a, b in zip(fast.states, generic.states)]
-    pairs += [(a.values, b.values) for a, b in zip(fast.group_path, generic.group_path)]
+    states = list(zip(fast.states.values(), generic.states.values()))
+    pairs = [(a.nu.values, b.nu.values) for a, b in states]
+    pairs += [(a.gamma.comps, b.gamma.comps) for a, b in states]
+    pairs += [(a.values, b.values)
+              for a, b in zip(fast.group_path.values(), generic.group_path.values())]
     assert len(pairs) == 33
     for a, b in pairs:
         assert np.array_equal(a, b)
@@ -424,7 +426,7 @@ def test_batched_substep_exponentials_match_one_per_substep_bit_for_bit(
     batched = simulate(cfg)
     monkeypatch.setattr(dynamics, "BATCHED_EXP_SITES", 0)
     single = simulate(cfg)
-    for a, b in zip(batched.group_path, single.group_path):
+    for a, b in zip(batched.group_path.values(), single.group_path.values()):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
 
@@ -536,14 +538,12 @@ def test_covariant_residual_second_order_in_dt_with_both_ad_star_terms(g):
 
 
 def test_variational_residual_equilibrium(spec, g, grid32):
-    steps = 6
-    states = [
-        ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g), 0.01 * n)
-        for n in range(steps + 1)
-    ]
-    chis = [GroupField.identity(grid32, g) for _ in range(steps + 1)]
-    traj = Trajectory(0.01 * np.arange(steps + 1), states,
-                      ConnectionForm.zeros(grid32, g), chis)
+    cfg = SimConfig(
+        grid32, g, spec,
+        AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g),
+        dt=0.01, steps=6,
+    )
+    traj = simulate(cfg)
     assert variational_residual(spec, traj, probes=16, eps=1e-5, seed=0) <= 1e-10
 
 
@@ -553,12 +553,9 @@ def test_variational_residual_flags_perturbed_path(spec, g, grid32):
     base = variational_residual(spec, traj, probes=32, eps=1e-5, seed=1)
     bump = fourier_algebra_field(grid32, g, 2, 0.02, 16)
     stepper = g.exp_arr(bump.values)
-    perturbed = [traj.group_path[0]]
-    for chi in traj.group_path[1:-1]:
-        perturbed.append(GroupField(grid32, g, stepper @ chi.values, validate=False))
-    perturbed.append(traj.group_path[-1])
-    noisy = Trajectory(traj.times, traj.states, traj.gamma0, perturbed)
-    assert variational_residual(spec, noisy, probes=32, eps=1e-5, seed=1) >= 10 * base
+    for k in range(1, traj.steps):
+        traj.group_path[k] = GroupField(grid32, g, stepper @ traj.group_path[k].values)
+    assert variational_residual(spec, traj, probes=32, eps=1e-5, seed=1) >= 10 * base
 
 
 # -- compatibility monitors ----------------------------------------------------------
@@ -676,7 +673,9 @@ def test_simulate_visits_a_three_step_window(spec, g, grid2d16, steps):
         assert monitor_row(spec, window, n) == monitor_row(spec, traj, n)
         seen.append(n)
 
-    assert simulate(cfg, visit) is None
+    last = simulate(cfg, visit)
+    assert isinstance(last, Trajectory)
+    assert sorted(last.states) == [steps]
     assert seen == list(range(steps + 1))
 
 

@@ -14,6 +14,7 @@ from latspin.lattice import (
     Grid,
     GridMismatchError,
     GroupField,
+    NonFiniteError,
     cdiff_array,
     d_alg,
     div_dual,
@@ -24,6 +25,7 @@ from latspin.lattice import (
     right_log_derivative,
     snapshot,
 )
+from latspin.lie import MembershipError
 
 SBP_TOL = 1e-13
 QUAD_TOL = 1e-13
@@ -246,7 +248,7 @@ def test_rld_constant_field_vanishes(g, grid32):
 def test_rld_right_translation_invariance(g, grid32):
     chi = group_field_from_profile(grid32, g, 2, 0.6, 8)
     const = g.exp_arr(np.array([0.4, -1.0, 0.3]))
-    translated = GroupField(grid32, g, chi.values @ const, validate=False)
+    translated = GroupField(grid32, g, chi.values @ const)
     gap = np.max(np.abs(right_log_derivative(translated).comps
                         - right_log_derivative(chi).comps))
     assert gap <= 1e-12
@@ -261,7 +263,7 @@ def test_rld_richardson_second_order(g):
         prof = 0.8 * np.sin(2 * np.pi * x)
         coeffs = np.zeros((n, 3))
         coeffs[:, 1] = prof
-        chi = GroupField(grid, g, g.exp_arr(coeffs), validate=False)
+        chi = GroupField(grid, g, g.exp_arr(coeffs))
         out = right_log_derivative(chi).comps[0]
         exact = 0.8 * 2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.max(np.abs(out[:, 1] - exact)))
@@ -287,3 +289,16 @@ def test_snapshot_roundtrip_all_kinds(g, grid2d16):
         data = back.comps if hasattr(back, "comps") else back.values
         orig = f.comps if hasattr(f, "comps") else f.values
         assert np.array_equal(data, orig)
+
+
+def test_field_from_snapshot_checks_what_it_reads(g, grid32):
+    # outside data enters here: a group snapshot must lie in the group, and
+    # an algebra snapshot must be finite
+    off = snapshot(GroupField.identity(grid32, g))
+    off["data"] = (np.asarray(off["data"]) + 0.5).tolist()
+    with pytest.raises(MembershipError):
+        field_from_snapshot(off, g)
+    nan = snapshot(AlgebraField.zeros(grid32, g))
+    nan["data"][4] = float("nan")
+    with pytest.raises(NonFiniteError):
+        field_from_snapshot(nan, g)
