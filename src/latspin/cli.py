@@ -176,7 +176,7 @@ def _profile_field(grid, group, key, cfg, make):
 
     Otherwise the ConfigError names the key at fault: the amplitude when the
     same profile is finite at unit amplitude, else the grid spacing, whose
-    coordinates then overflow.
+    coordinates then overflow; grid.sizes when the field cannot be allocated.
     """
     def finite(profile_cfg):
         try:
@@ -194,6 +194,8 @@ def _profile_field(grid, group, key, cfg, make):
         raise ConfigError(f"{key}.modes", str(exc)) from None
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from None
+    except MemoryError:
+        raise ConfigError("grid.sizes", "too many sites to allocate the fields") from None
     if unit_ok:
         raise ConfigError(f"{key}.amplitude", "the profile overflows (non-finite "
                           "values or norm)")
@@ -467,15 +469,19 @@ def verify_suite(seed=0, sizes=(32, 16)):
             dynamics.fourier_connection(grid, group, modes, 0.3, seed + 1100),
             dt=0.2 / base, steps=6, cadence=1,
         )
-        traj = dynamics.simulate(cfg)
         abar = dynamics.fourier_connection(grid, group, modes, 0.9, seed + 1200)
         gap = 0.0
-        for n in range(1, traj.steps):
-            r0 = dynamics.covariant_residual(spec, traj, n)
-            ra = dynamics.covariant_residual(spec, traj, n, abar)
-            w = lagrangian.delta_l_delta_gamma(spec, traj.times[n], traj.states[n])
-            scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
-            gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
+
+        def visit(traj, n):
+            nonlocal gap
+            if 0 < n < traj.steps:
+                r0 = dynamics.covariant_residual(spec, traj, n)
+                ra = dynamics.covariant_residual(spec, traj, n, abar)
+                w = lagrangian.delta_l_delta_gamma(spec, traj.times[n], traj.states[n])
+                scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
+                gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
+
+        dynamics.simulate(cfg, visit)
         _report(f"dynamics.abar_independence.{tag}", gap, 1e-12, lines)
 
     all_ok = all(ok for _, ok, _, _ in lines)
@@ -522,8 +528,9 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
     Returns one measurement dict per level with the interior maxima of every
-    monitored residual. A level that diverges raises its DivergenceError with
-    `sites` set to the level's site count.
+    monitored residual. Each level streams: its visitor keeps the running
+    maxima, so a level holds three steps at a time. A level that diverges
+    raises its DivergenceError with `sites` set to the level's site count.
     """
     base = parse_config(raw_cfg)
     dim = base.grid.dim
@@ -543,22 +550,26 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         except ConfigError as exc:
             # the base config parsed, so the level size is at fault
             raise ConfigError("ladder.sizes", f"level {n_sites}: {exc}") from None
+        worst = dict.fromkeys(ORDER_KEYS, 0.0)
+
+        def visit(traj, k):
+            found = {"variational_residual": dynamics.variational_residual(
+                cfg.spec, traj, probes=probes, eps=probe_eps, seed=probe_seed)}
+            if 0 < k < traj.steps:
+                found.update(dynamics.monitor_row(cfg.spec, traj, k))
+            for key, value in found.items():
+                worst[key] = max(worst[key], value)
+
         try:
-            traj = dynamics.simulate(cfg)
+            dynamics.simulate(cfg, visit)
         except dynamics.DivergenceError as exc:
             exc.sites = int(n_sites)
             raise
-        worst = dict.fromkeys(ORDER_KEYS[1:], 0.0)
-        for k in range(1, traj.steps):
-            for key, value in dynamics.monitor_row(cfg.spec, traj, k).items():
-                worst[key] = max(worst[key], value)
         out.append({
             "sites": int(n_sites),
             "h": lengths[0] / n_sites,
             "dt": dt,
             "steps": steps,
-            "variational_residual": dynamics.variational_residual(
-                cfg.spec, traj, probes=probes, eps=probe_eps, seed=probe_seed),
             **worst,
         })
     return out

@@ -16,8 +16,8 @@ closed-form advection solution, and the curvature.
 covariant_residual and compatibility_monitor serve every step 0..steps: their
 time differences are centred at interior steps and one-sided at the first and
 last steps. monitor_row, the four series monitors, is their composition. They
-read steps n-1..n+1 only, so they run on the Trajectory that simulate returns
-or on the one it passes to its visitor while stepping, which holds just those.
+read steps n-1..n+1 only, as does each probe of variational_residual, so they
+run on the Trajectory that simulate passes to its visitor, which holds those.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ class Trajectory:
     times, states and group_path map a held step index to its value; grid,
     group, dt, steps and gamma0 come from the configuration (step 0 holds the
     configuration's nu0 and gamma0 themselves, which nothing here writes to).
-    A visited run holds steps n-1..n+1 at the visit of step n.
+    It holds steps n-1..n+1 at the visit of step n.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -313,13 +313,12 @@ class Trajectory:
             held.pop(k, None)
 
 
-def simulate(cfg: SimConfig, visit=None) -> Trajectory:
+def simulate(cfg: SimConfig, visit) -> None:
     """Integrate the reduced system, reconstructing the group path alongside.
 
     visit(traj, n) is called for n = 0..steps once step n+1 exists (for the
-    last step, after the loop), and step n-1 is dropped after the call, so a
-    visited run holds steps n-1..n+1 and its memory does not grow with steps.
-    Without visit, every step is kept. The Trajectory is returned either way.
+    last step, after the loop), and step n-1 is dropped after the call, so the
+    run holds steps n-1..n+1 and its memory does not grow with steps.
 
     Raises DivergenceError (carrying the step index, cause and field) as soon
     as the new state holds a non-finite entry (an RK4 stage that overflows
@@ -354,13 +353,9 @@ def simulate(cfg: SimConfig, visit=None) -> Trajectory:
                 # a blowing-up but finite state overruns the rotation limit
                 raise DivergenceError(n + 1, "step_too_large", "chi") from exc
         traj._push(n + 1, state, chi)
-        if visit:
-            visit(traj, n)
-            traj._drop(n - 1)
-    if visit:
-        visit(traj, cfg.steps)
-        traj._drop(cfg.steps - 1)
-    return traj
+        visit(traj, n)
+        traj._drop(n - 1)
+    visit(traj, cfg.steps)
 
 
 def energy(spec: DensitySpec, t: float, s: ReducedState) -> float:
@@ -429,19 +424,13 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
 # -- variational residual ---------------------------------------------------------
 
 
-def _action_term(spec, traj, n, base=None, endpoint=None):
-    """One rectangle-rule term of the discrete action, with log-difference velocity.
-
-    base/endpoint override chi_n and chi_{n+1}, which is all a single-step
-    perturbation of the path touches.
-    """
-    dt = traj.dt
-    grid, group = traj.grid, traj.group
-    chi_n = traj.group_path[n] if base is None else base
-    chi_next = traj.group_path[n + 1] if endpoint is None else endpoint
-    vel = group.log_arr(chi_next.values @ group.inverse_arr(chi_n.values)) / dt
-    nu_n = AlgebraField(grid, group, vel)
-    return dt * instantaneous_L(spec, traj.times[n], chi_n, nu_n, traj.gamma0)
+def _action_term(spec, traj, n, chi_n, chi_next):
+    """dt L(t_n, chi_n, log(chi_next chi_n^-1)/dt, gamma0), one rectangle-rule
+    term of the discrete action, from the matrices of chi at steps n and n+1."""
+    grid, group, dt = traj.grid, traj.group, traj.dt
+    vel = group.log_arr(chi_next @ group.inverse_arr(chi_n)) / dt
+    return dt * instantaneous_L(spec, traj.times[n], GroupField(grid, group, chi_n),
+                                AlgebraField(grid, group, vel), traj.gamma0)
 
 
 def variational_residual(spec: DensitySpec, traj: Trajectory,
@@ -456,6 +445,10 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
     recomputation. The largest |dS| is returned as a density (divided by
     dt times the cell volume) so values are comparable across resolutions.
     This is the independent Euler-Lagrange oracle for simulated trajectories.
+
+    Every call draws the same probes and evaluates those whose steps n-1..n+1
+    traj holds, so the maximum over the visits of a run evaluates each probe
+    once and equals the value on the whole trajectory.
     """
     if traj.steps < 2:
         raise ValueError("need at least one interior step")
@@ -467,23 +460,18 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
         n = int(rng.integers(1, traj.steps))
         site = tuple(int(rng.integers(0, sz)) for sz in grid.sizes)
         a = int(rng.integers(0, d))
+        if not all(k in traj.group_path for k in (n - 1, n, n + 1)):
+            continue
         coeffs = np.zeros((d,))
         coeffs[a] = 1.0
-        bump = group.exp_arr(eps * coeffs)
-        bump_inv = group.exp_arr(-eps * coeffs)
-        chi_n = traj.group_path[n]
-
-        def local_action(chi_mat):
-            chi_pert = GroupField(grid, group, chi_mat)
-            term_prev = _action_term(spec, traj, n - 1, endpoint=chi_pert)
-            term_here = _action_term(spec, traj, n, base=chi_pert)
-            return term_prev + term_here
-
-        mat_plus = chi_n.values.copy()
-        mat_plus[site] = bump @ mat_plus[site]
-        mat_minus = chi_n.values.copy()
-        mat_minus[site] = bump_inv @ mat_minus[site]
-        ds = (local_action(mat_plus) - local_action(mat_minus)) / (2.0 * eps)
+        before, here, after = (traj.group_path[k].values for k in (n - 1, n, n + 1))
+        action = []
+        for sign in (1.0, -1.0):
+            mat = here.copy()
+            mat[site] = group.exp_arr(sign * eps * coeffs) @ mat[site]
+            action.append(_action_term(spec, traj, n - 1, before, mat)
+                          + _action_term(spec, traj, n, mat, after))
+        ds = (action[0] - action[1]) / (2.0 * eps)
         worst = max(worst, abs(ds))
     return worst / (traj.dt * grid.cell_volume)
 

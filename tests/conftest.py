@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latspin import dynamics
 from latspin.lattice import Grid
 from latspin.lie import so3
 
@@ -22,3 +23,17 @@ def grid2d16():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def whole_trajectory(cfg):
+    """The run of cfg with every step held: its visitor copies each step it sees
+    into one Trajectory, which the monitors and oracles can then read at once."""
+    whole = dynamics.Trajectory(cfg)
+
+    def keep(traj, n):
+        whole.times.update(traj.times)
+        whole.states.update(traj.states)
+        whole.group_path.update(traj.group_path)
+
+    dynamics.simulate(cfg, keep)
+    return whole

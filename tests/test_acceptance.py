@@ -30,6 +30,8 @@ from latspin.lattice import (
 )
 from latspin.lie import so3
 
+from conftest import whole_trajectory
+
 GAUGE_INV_TOL = 1e-10
 ADJOINT_TOL = 1e-12
 FD_MATCH_TOL = 1e-6
@@ -226,7 +228,7 @@ def test_criterion_5_covariant_order_and_background(g, spec, ladder_1d):
     cfg_raw["grid"]["spacing"] = [1.0 / 32]
     cfg_raw["time"] = {"dt": 0.25 / 32, "steps": 64}
     cfg = cli.parse_config(cfg_raw)
-    traj = dynamics.simulate(cfg)
+    traj = whole_trajectory(cfg)
     abar = dynamics.fourier_connection(cfg.grid, g, 2, 0.9, 901)
     gap = 0.0
     for n in range(1, traj.steps):
@@ -273,7 +275,7 @@ def test_criterion_7_energy_conservation(g, spec):
         dynamics.fourier_connection(grid, g, 2, 0.3, 2),
         dt=1e-3, steps=1000,
     )
-    traj = dynamics.simulate(cfg)
+    traj = whole_trajectory(cfg)
     e0 = dynamics.energy(spec, 0.0, traj.states[0])
     drift = abs(dynamics.energy(spec, 1.0, traj.states[traj.steps]) - e0) / abs(e0)
     ok = drift <= ENERGY_TOL

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from latspin import cli, dynamics, lagrangian
 from latspin.lattice import AlgebraField, Grid, snapshot, snapshot_arrays
 from latspin.lie import LogBranchError, so3
+
+from conftest import whole_trajectory
 
 REFERENCE_CONFIG = {
     "grid": {"dim": 1, "sizes": [32], "spacing": [1.0 / 32]},
@@ -47,13 +50,13 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, preexec_fn=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "latspin.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -125,6 +128,32 @@ def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and key in lines[0], proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command,key", [("simulate", "grid.sizes"),
+                                         ("convergence", "ladder.sizes")])
+def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, key):
+    # 1e10 sites: one scalar array of the grid (or of the last ladder level)
+    # takes 75 GiB. The child runs under a 2 GiB address-space limit, so the
+    # allocation fails at once on any machine.
+    cfg = json.loads(json.dumps(STREAM_2D))
+    if command == "simulate":
+        cfg["grid"] = {"dim": 2, "sizes": [100000, 100000], "spacing": [1e-5, 1e-5]}
+        args = [write_config(tmp_path, cfg), str(tmp_path / "out")]
+    else:
+        cfg["grid"] = {"dim": 2, "sizes": [16, 16], "spacing": [1.0 / 16, 1.0 / 16]}
+        cfg["ladder"] = {"sizes": [16, 32, 100000]}
+        args = [write_config(tmp_path, cfg)]
+    proc = run_cli([command, *args], preexec_fn=_limit_address_space,
+                   env_extra={"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and f"config key {key!r}" in lines[0], lines
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence"])
@@ -362,7 +391,7 @@ def test_streamed_outputs_equal_the_collected_trajectory(tmp_path, raw):
     expected = tmp_path / "collected"
     expected.mkdir()
     cfg = cli.parse_config(raw)
-    traj = dynamics.simulate(cfg)
+    traj = whole_trajectory(cfg)
     samples = sorted(set(range(0, traj.steps + 1, cfg.cadence)) | {traj.steps})
     rows = cli.trajectory_rows(cfg.spec, traj, samples)
     cli.write_series(str(expected / "series.csv"), rows)
@@ -548,6 +577,93 @@ def test_convergence_ladder_writes_orders(tmp_path):
     assert len(payload["measurements"]) == 3
     for key in cli.ORDER_KEYS:
         assert payload["orders"][key] >= 1.7
+
+
+def ladder_case(dim, sizes):
+    """A short ladder on dim axes: 4 steps at the base level, dt scaled with h."""
+    n = sizes[0]
+    return {
+        "grid": {"dim": dim, "sizes": [n] * dim, "spacing": [1.0 / n] * dim},
+        "group": "SO3",
+        "lagrangian": "spin_glass",
+        "init": {"nu": {"profile": "fourier", "modes": 1, "amplitude": 0.3, "seed": 11}},
+        "gamma0": {"profile": "pure_gauge", "modes": 1, "amplitude": 0.2, "seed": 12},
+        "time": {"dt": 0.15 / n, "steps": 4},
+        "ladder": {"sizes": sizes},
+    }
+
+
+def whole_ladder(cfgs, probes, probe_eps, probe_seed):
+    """ladder_measurements from each level's whole trajectory: the interior
+    maxima of monitor_row and variational_residual on the collected run."""
+    out = []
+    for cfg in cfgs:
+        traj = whole_trajectory(cfg)
+        rows = [dynamics.monitor_row(cfg.spec, traj, k) for k in range(1, traj.steps)]
+        out.append({
+            "sites": cfg.grid.sizes[0],
+            "h": cfg.grid.spacing[0],
+            "dt": cfg.dt,
+            "steps": cfg.steps,
+            "variational_residual": dynamics.variational_residual(
+                cfg.spec, traj, probes=probes, eps=probe_eps, seed=probe_seed),
+            **{key: max(row[key] for row in rows) for key in cli.ORDER_KEYS[1:]},
+        })
+    return out
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(ladder_case(1, [8, 16, 32]), id="1d"),
+    pytest.param(ladder_case(2, [8, 12, 16]), id="2d"),
+])
+def test_streamed_ladder_equals_the_whole_trajectory_reference(raw, monkeypatch):
+    # 40 probes over at most 15 interior steps per level: probes share steps,
+    # and each must still be evaluated once (4 action terms), at the visit of
+    # its step
+    simulate, action = dynamics.simulate, dynamics.instantaneous_L
+    level_cfgs, action_calls = [], []
+
+    def spy(cfg, visit):
+        level_cfgs.append(cfg)
+        simulate(cfg, visit)
+
+    def counted(*args):
+        action_calls.append(None)
+        return action(*args)
+
+    monkeypatch.setattr(dynamics, "simulate", spy)
+    monkeypatch.setattr(dynamics, "instantaneous_L", counted)
+    streamed = cli.ladder_measurements(raw, raw["ladder"]["sizes"], probes=40,
+                                       probe_eps=1e-5, probe_seed=3)
+    monkeypatch.undo()
+    assert max(cfg.steps for cfg in level_cfgs) - 1 < 40
+    assert len(action_calls) == 3 * 40 * 4
+    reference = whole_ladder(level_cfgs, 40, 1e-5, 3)
+    assert [list(m) for m in streamed] == [list(m) for m in reference]
+    for got, want in zip(streamed, reference):
+        for key, value in want.items():
+            assert got[key] == value, key
+
+
+def test_convergence_peak_memory_is_flat_in_the_step_count(tmp_path):
+    # a level holds three steps while it runs: ten times the steps (dt scaled
+    # to keep T) adds no held steps, where a whole 64-site level of 320 steps
+    # would add about 2.4 MB
+    def traced_peak(factor):
+        raw = ladder_case(1, [16, 32, 64])
+        raw["time"] = {"dt": 0.15 / 16 / factor, "steps": 8 * factor}
+        raw["output_dir"] = str(tmp_path / f"out_{factor}")
+        path = write_config(tmp_path, raw, f"config_{factor}.json")
+        tracemalloc.start()
+        try:
+            assert cli.run_convergence(path) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # first-call allocations (imports, caches) stay out of the figures
+    short, long = traced_peak(1), traced_peak(10)
+    assert long <= 1.1 * short, (short, long)
 
 
 def test_fit_order_zero_ladder_is_inf():

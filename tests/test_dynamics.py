@@ -5,7 +5,6 @@ from latspin import dynamics
 from latspin.dynamics import (
     DivergenceError,
     SimConfig,
-    Trajectory,
     _rk4_stages,
     aep_rhs,
     compatibility_monitor,
@@ -42,6 +41,8 @@ from latspin.lattice import (
     integrate,
 )
 from latspin.lie import MatrixGroup
+
+from conftest import whole_trajectory
 
 ENERGY_DRIFT_TOL = 1e-6
 ABAR_TOL = 1e-12
@@ -341,7 +342,7 @@ def test_one_rk4_step_matches_semidiscrete_oracle(spec, g, grid32):
 
 def test_simulate_zero_steps(spec, g, grid32):
     cfg = make_cfg(g, grid32, 3, dt=0.01, steps=0)
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     assert traj.steps == 0
     assert len(traj.states) == 1 and len(traj.group_path) == 1
     assert np.array_equal(traj.group_path[0].values[0], np.eye(3))
@@ -353,7 +354,7 @@ def test_simulate_equilibrium_stays_zero(spec, g, grid32):
         AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g),
         dt=0.01, steps=10,
     )
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     for s in traj.states.values():
         assert np.max(np.abs(s.nu.values)) == 0.0
         assert np.max(np.abs(s.gamma.comps)) == 0.0
@@ -361,7 +362,7 @@ def test_simulate_equilibrium_stays_zero(spec, g, grid32):
 
 def test_simulate_energy_conservation(spec, g, grid32):
     cfg = make_cfg(g, grid32, 4, dt=1e-3, steps=1000, nu_amp=0.5, gamma_amp=0.3)
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     e0 = energy(spec, 0.0, traj.states[0])
     drift = abs(energy(spec, 1.0, traj.states[traj.steps]) - e0) / abs(e0)
     assert drift <= ENERGY_DRIFT_TOL
@@ -371,7 +372,7 @@ def test_simulate_divergence_detected(spec, g, grid32):
     # dt far beyond the stability limit of the wave-like system
     cfg = make_cfg(g, grid32, 5, dt=1.0, steps=500, nu_amp=0.02, gamma_amp=0.1)
     with pytest.raises(DivergenceError) as err:
-        simulate(cfg)
+        whole_trajectory(cfg)
     assert err.value.step >= 1
 
 
@@ -383,7 +384,7 @@ def test_simulate_divergence_inside_an_rk4_stage(spec, g, grid32):
         fourier_connection(grid32, g, 2, 1.0, 3), dt=1e100, steps=3,
     )
     with pytest.raises(DivergenceError) as err:
-        simulate(cfg)
+        whole_trajectory(cfg)
     assert err.value.step == 1
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert (err.value.cause, err.value.field) == ("non_finite", "nu")
@@ -396,7 +397,7 @@ def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):
     clone = MatrixGroup("so3-generic", g.basis, 0.5)
     clone.exp_arr = g.exp_arr
     fast, generic = (
-        simulate(SimConfig(
+        whole_trajectory(SimConfig(
             grid2d16, group, spec,
             fourier_algebra_field(grid2d16, group, 2, 0.4, 41),
             fourier_connection(grid2d16, group, 2, 0.3, 42), dt=0.005, steps=10,
@@ -423,9 +424,9 @@ def test_batched_substep_exponentials_match_one_per_substep_bit_for_bit(
     grid = Grid(sizes, tuple(1.0 / n for n in sizes))
     cfg = SimConfig(grid, g, spec, fourier_algebra_field(grid, g, 2, 0.5, 1),
                     fourier_connection(grid, g, 2, 0.3, 2), dt=0.001, steps=12)
-    batched = simulate(cfg)
+    batched = whole_trajectory(cfg)
     monkeypatch.setattr(dynamics, "BATCHED_EXP_SITES", 0)
-    single = simulate(cfg)
+    single = whole_trajectory(cfg)
     for a, b in zip(batched.group_path.values(), single.group_path.values()):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
@@ -478,13 +479,13 @@ def test_covariant_residual_zero_trajectory(spec, g, grid32):
         AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g),
         dt=0.01, steps=4,
     )
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     assert covariant_residual(spec, traj, 2).max_norm() == 0.0
 
 
 def test_covariant_residual_background_independence(spec, g, grid32):
     cfg = make_cfg(g, grid32, 10, dt=0.005, steps=8)
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     abar = fourier_connection(grid32, g, 2, 1.1, 11)
     for n in (1, 4, 7):
         r0 = covariant_residual(spec, traj, n)
@@ -496,7 +497,7 @@ def test_covariant_residual_background_independence(spec, g, grid32):
 def test_covariant_residual_index_range(spec, g, grid32):
     # the residual serves every step 0..steps, one-sided at the ends, and
     # rejects a step outside the trajectory
-    traj = simulate(make_cfg(g, grid32, 12, dt=0.005, steps=4))
+    traj = whole_trajectory(make_cfg(g, grid32, 12, dt=0.005, steps=4))
     for n in (0, traj.steps):
         assert np.isfinite(covariant_residual(spec, traj, n).max_norm())
     for bad in (-1, traj.steps + 1):
@@ -514,7 +515,7 @@ def test_covariant_residual_second_order(spec, g):
     for n in (16, 32, 64):
         grid = Grid((n,), (1.0 / n,))
         cfg = make_cfg(g, grid, 13, dt=0.25 / n, steps=2 * n, modes=1)
-        worsts.append(covariant_residual_max(spec, simulate(cfg)))
+        worsts.append(covariant_residual_max(spec, whole_trajectory(cfg)))
     orders = np.log2(np.array(worsts[:-1]) / worsts[1:])
     assert np.all(orders > 1.7)
 
@@ -527,7 +528,7 @@ def test_covariant_residual_second_order_in_dt_with_both_ad_star_terms(g):
     grid = Grid((16, 12), (1.0 / 16, 1.0 / 12))
     nu0 = fourier_algebra_field(grid, g, 2, 0.5, 3)
     gamma0 = fourier_connection(grid, g, 2, 0.4, 4)
-    worsts = [covariant_residual_max(spec, simulate(
+    worsts = [covariant_residual_max(spec, whole_trajectory(
         SimConfig(grid, g, spec, nu0, gamma0, 0.08 / steps, steps)))
         for steps in (8, 16, 32)]
     orders = np.log2(np.array(worsts[:-1]) / worsts[1:])
@@ -543,13 +544,13 @@ def test_variational_residual_equilibrium(spec, g, grid32):
         AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g),
         dt=0.01, steps=6,
     )
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     assert variational_residual(spec, traj, probes=16, eps=1e-5, seed=0) <= 1e-10
 
 
 def test_variational_residual_flags_perturbed_path(spec, g, grid32):
     cfg = make_cfg(g, grid32, 15, dt=0.01, steps=20)
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     base = variational_residual(spec, traj, probes=32, eps=1e-5, seed=1)
     bump = fourier_algebra_field(grid32, g, 2, 0.02, 16)
     stepper = g.exp_arr(bump.values)
@@ -567,7 +568,7 @@ def test_monitor_zero_trajectory(spec, g, grid32):
         AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g),
         dt=0.01, steps=4,
     )
-    mon = compatibility_monitor(simulate(cfg), 2)
+    mon = compatibility_monitor(whole_trajectory(cfg), 2)
     assert mon["advection_residual"] == 0.0
     assert mon["curvature_max"] == 0.0
     assert mon["exact_advect_gap"] == 0.0
@@ -577,7 +578,7 @@ def test_monitor_advection_second_order(spec, g):
     worsts = []
     for n in (16, 32, 64):
         grid = Grid((n,), (1.0 / n,))
-        traj = simulate(make_cfg(g, grid, 17, dt=0.25 / n, steps=2 * n, modes=1))
+        traj = whole_trajectory(make_cfg(g, grid, 17, dt=0.25 / n, steps=2 * n, modes=1))
         worsts.append(
             max(compatibility_monitor(traj, k)["advection_residual"]
                 for k in range(1, traj.steps))
@@ -589,7 +590,7 @@ def test_monitor_advection_second_order(spec, g):
 def test_monitor_index_range(spec, g, grid32):
     # compatibility_monitor serves the first and last steps, where monitor_row
     # reads it, and rejects a step outside the trajectory
-    traj = simulate(make_cfg(g, grid32, 18, dt=0.01, steps=3))
+    traj = whole_trajectory(make_cfg(g, grid32, 18, dt=0.01, steps=3))
     for n in (0, traj.steps):
         mon = compatibility_monitor(traj, n)
         assert monitor_row(spec, traj, n) == {
@@ -631,7 +632,7 @@ def one_sided_reference(spec, traj, n):
 
 def test_monitor_row_endpoints_interior_and_short_runs(spec, g):
     grid = Grid((8, 8), (0.125, 0.125))
-    traj = simulate(make_cfg(g, grid, 19, dt=0.01, steps=4))
+    traj = whole_trajectory(make_cfg(g, grid, 19, dt=0.01, steps=4))
     for n in (0, traj.steps):
         row = monitor_row(spec, traj, n)
         ref = one_sided_reference(spec, traj, n)
@@ -648,7 +649,7 @@ def test_monitor_row_endpoints_interior_and_short_runs(spec, g):
             "exact_advect_gap": mon["exact_advect_gap"],
         }
     for steps in (0, 1, 2):
-        short = simulate(make_cfg(g, grid, 20, dt=0.01, steps=steps))
+        short = whole_trajectory(make_cfg(g, grid, 20, dt=0.01, steps=steps))
         for n in range(steps + 1):
             assert all(np.isfinite(v) for v in monitor_row(spec, short, n).values())
 
@@ -656,7 +657,7 @@ def test_monitor_row_endpoints_interior_and_short_runs(spec, g):
 @pytest.mark.parametrize("steps", [0, 1, 2, 5])
 def test_simulate_visits_a_three_step_window(spec, g, grid2d16, steps):
     cfg = make_cfg(g, grid2d16, 23, dt=0.01, steps=steps)
-    traj = simulate(cfg)
+    traj = whole_trajectory(cfg)
     seen = []
 
     def visit(window, n):
@@ -673,9 +674,7 @@ def test_simulate_visits_a_three_step_window(spec, g, grid2d16, steps):
         assert monitor_row(spec, window, n) == monitor_row(spec, traj, n)
         seen.append(n)
 
-    last = simulate(cfg, visit)
-    assert isinstance(last, Trajectory)
-    assert sorted(last.states) == [steps]
+    simulate(cfg, visit)
     assert seen == list(range(steps + 1))
 
 
