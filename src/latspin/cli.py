@@ -349,6 +349,11 @@ def run_simulate(config_path, outdir) -> int:
                           failed_cause=exc.cause, failed_field=exc.field)
             print(f"error: {exc}", file=sys.stderr)
             exit_code = 3
+        except MemoryError:
+            # the fields fit, but the arrays of a step do not
+            print(f"error: {ConfigError('grid.sizes', 'too many sites to run a step')}",
+                  file=sys.stderr)
+            return 2
         report["rows"] = rows
         write_series(os.path.join(outdir, "series.csv"), rows)
         with open(os.path.join(outdir, "report.json"), "w") as fh:
@@ -496,7 +501,12 @@ def run_verify(seed=0, sizes=(32, 16)) -> int:
         print(f"error: --sizes must be at least {MIN_SITES_PER_AXIS} sites per axis, "
               f"got {' '.join(map(str, sizes))}", file=sys.stderr)
         return 2
-    all_ok, lines = verify_suite(seed=seed, sizes=sizes)
+    try:
+        all_ok, lines = verify_suite(seed=seed, sizes=sizes)
+    except MemoryError:
+        print(f"error: --sizes {' '.join(map(str, sizes))}: too many sites to allocate "
+              "the fields", file=sys.stderr)
+        return 2
     for name, ok, bound, tol in lines:
         print(f"{'PASS' if ok else 'FAIL'} {name:42s} measured={bound:.3e} tol={tol:.1e}")
     return 0 if all_ok else 1
@@ -565,6 +575,9 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         except dynamics.DivergenceError as exc:
             exc.sites = int(n_sites)
             raise
+        except MemoryError:
+            raise ConfigError("ladder.sizes",
+                              f"level {n_sites}: too many sites to run a step") from None
         out.append({
             "sites": int(n_sites),
             "h": lengths[0] / n_sites,

@@ -134,26 +134,62 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("command,key", [("simulate", "grid.sizes"),
-                                         ("convergence", "ladder.sizes")])
-def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, key):
-    # 1e10 sites: one scalar array of the grid (or of the last ladder level)
-    # takes 75 GiB. The child runs under a 2 GiB address-space limit, so the
-    # allocation fails at once on any machine.
+@pytest.mark.parametrize("command,sites,zero,key", [
+    pytest.param("simulate", 100000, False, "grid.sizes", id="simulate-grid.sizes"),
+    pytest.param("convergence", 100000, False, "ladder.sizes", id="convergence-ladder.sizes"),
+    pytest.param("simulate", 3000, True, "grid.sizes", id="simulate-step-grid.sizes"),
+    pytest.param("convergence", 3000, True, "ladder.sizes", id="convergence-step-ladder.sizes"),
+    pytest.param("verify", 100000, False, "--sizes", id="verify---sizes"),
+])
+def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, sites, zero, key):
+    # The child runs under a 2 GiB address-space limit. At 1e10 sites one
+    # scalar array of the grid (of the last ladder level, or of verify's 2-D
+    # grid) takes 75 GiB, so the allocation fails at once on any machine. At
+    # 9e6 sites the zero fields fit (about 1.3 GiB), and the arrays of the
+    # first RK4 step do not.
     cfg = json.loads(json.dumps(STREAM_2D))
+    if zero:
+        cfg["init"], cfg["gamma0"] = {"nu": {"profile": "zero"}}, {"profile": "zero"}
     if command == "simulate":
-        cfg["grid"] = {"dim": 2, "sizes": [100000, 100000], "spacing": [1e-5, 1e-5]}
+        cfg["grid"] = {"dim": 2, "sizes": [sites] * 2, "spacing": [1.0 / sites] * 2}
+        cfg["time"]["steps"] = 1
         args = [write_config(tmp_path, cfg), str(tmp_path / "out")]
-    else:
+    elif command == "convergence":
         cfg["grid"] = {"dim": 2, "sizes": [16, 16], "spacing": [1.0 / 16, 1.0 / 16]}
-        cfg["ladder"] = {"sizes": [16, 32, 100000]}
+        cfg["ladder"] = {"sizes": [16, 32, sites]}
         args = [write_config(tmp_path, cfg)]
+    else:
+        args = ["--sizes", "32", str(sites)]
     proc = run_cli([command, *args], preexec_fn=_limit_address_space,
                    env_extra={"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and f"config key {key!r}" in lines[0], lines
+    named = key if key.startswith("--") else f"config key {key!r}"
+    assert len(lines) == 1 and lines[0].startswith(f"error: {named}"), lines
     assert "Traceback" not in proc.stderr
+
+
+# Any import of scipy in the child raises ImportError.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from latspin import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command,code", [("simulate", 0), ("verify", 1), ("convergence", 0)])
+def test_latspin_never_needs_scipy(tmp_path, command, code):
+    if command == "simulate":
+        args = [write_config(tmp_path, STREAM_2D), str(tmp_path / "out")]
+    elif command == "convergence":
+        args = [write_config(tmp_path, ladder_case(1, [16, 32, 64]))]
+    else:
+        args = []
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, command, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence"])

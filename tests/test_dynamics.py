@@ -40,9 +40,9 @@ from latspin.lattice import (
     d_alg,
     integrate,
 )
-from latspin.lie import MatrixGroup
 
 from conftest import whole_trajectory
+from reference_group import reference_so3
 
 ENERGY_DRIFT_TOL = 1e-6
 ABAR_TOL = 1e-12
@@ -149,7 +149,7 @@ def anisotropic_spec():
 def test_array_rhs_matches_the_container_formula_bit_for_bit(g, sizes, generic, density):
     spec = density()
     spec.self_test(dim=len(sizes), algebra_dim=3)
-    group = MatrixGroup("so3-generic", g.basis, 0.5) if generic else g
+    group = reference_so3() if generic else g
     grid = Grid(sizes, tuple(1.0 / n for n in sizes))
     nu = fourier_algebra_field(grid, group, 2, 0.7, 5).values
     gamma = fourier_connection(grid, group, 2, 0.6, 6).comps
@@ -220,7 +220,7 @@ def test_skipped_ad_star_terms_vanish_for_a_scaled_isotropic_density(g, generic)
     # full formula's ad* terms are roundoff, not +0.0
     spec = scaled_isotropic_spec()
     spec.self_test(dim=2, algebra_dim=3)
-    group = MatrixGroup("so3-generic", g.basis, 0.5) if generic else g
+    group = reference_so3() if generic else g
     grid = Grid((16, 12), (1.0 / 16, 1.0 / 12))
     nu = fourier_algebra_field(grid, group, 2, 0.7, 5)
     gamma = fourier_connection(grid, group, 2, 0.6, 6)
@@ -392,9 +392,9 @@ def test_simulate_divergence_inside_an_rk4_stage(spec, g, grid32):
 
 def test_simulate_so3_matches_generic_descriptor_bit_for_bit(spec, g, grid2d16):
     # the so(3) closed-form kernels against the structure-tensor path; only
-    # exp is shared (set on the instance), as the generic path's scipy expm
+    # exp is shared (set on the instance), as the reference's scipy expm
     # gives other bits than the Rodrigues formula
-    clone = MatrixGroup("so3-generic", g.basis, 0.5)
+    clone = reference_so3()
     clone.exp_arr = g.exp_arr
     fast, generic = (
         whole_trajectory(SimConfig(

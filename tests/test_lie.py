@@ -1,17 +1,12 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from latspin.lie import (
-    LogBranchError,
-    MatrixGroup,
-    MembershipError,
-    so3,
-)
+from latspin.lie import LogBranchError, MatrixGroup, MembershipError
+
+from reference_group import ReferenceGroup, reference_so3
 
 EXACT = 1e-12
+KAPPA_WEIGHT = 0.5  # kappa(X, Y) = tr(X^T Y) / 2 makes the hat-map basis orthonormal
 N_SAMPLES = 100
 
 
@@ -264,7 +259,7 @@ def test_metric_dual_pairs_as_inner_product(g):
     rr = np.random.default_rng(11)
     for _ in range(20):
         xi, eta = rr.normal(size=(2, 3))
-        kappa = g.kappa_weight * np.trace(g.hat(xi).T @ g.hat(eta))
+        kappa = KAPPA_WEIGHT * np.trace(g.hat(xi).T @ g.hat(eta))
         assert abs(kappa - xi @ eta) <= EXACT
 
 
@@ -277,7 +272,7 @@ def test_nonclosed_basis_rejected():
     bad[0, 1, 0] = -1.0
     bad[1] = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
     with pytest.raises(ValueError):
-        MatrixGroup("bad", bad, 0.5)
+        ReferenceGroup("bad", bad, 0.5)
 
 
 def test_non_ad_invariant_basis_rejected():
@@ -285,11 +280,11 @@ def test_non_ad_invariant_basis_rejected():
     # so kappa([X, Y], Y) = 1 while -kappa(Y, [X, Y]) = -1
     aff = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ValueError, match="ad-invariant"):
-        MatrixGroup("aff1", aff, 1.0)
+        ReferenceGroup("aff1", aff, 1.0)
 
 
 def test_generic_descriptor_agrees_with_fast_path(g):
-    clone = MatrixGroup("so3-generic", g.basis, 0.5)
+    clone = reference_so3()
     rr = np.random.default_rng(12)
     for _ in range(10):
         v = rr.normal(size=3) * 0.8
@@ -299,38 +294,15 @@ def test_generic_descriptor_agrees_with_fast_path(g):
         assert np.allclose(clone.bracket_arr(v, w), g.bracket_arr(v, w), atol=EXACT)
 
 
-SCIPY_ON_DEMAND = """
-import sys
-import numpy as np
-import latspin.cli
-from latspin.lie import MatrixGroup, so3
-
-def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
-
-assert not scipy_loaded(), "import latspin.cli loaded scipy"
-clone = MatrixGroup("so3-generic", so3().basis, 0.5)
-xi = np.array([[0.3, -0.2, 0.5], [0.1, 0.0, -0.4]])
-assert not scipy_loaded(), "building a generic descriptor loaded scipy"
-mats = clone.exp_arr(xi)
-assert np.allclose(mats, so3().exp_arr(xi), atol=1e-12)
-assert np.allclose(clone.log_arr(mats), xi, atol=1e-10)
-assert scipy_loaded(), "the generic fallbacks ran without scipy"
-"""
-
-
-def test_scipy_is_imported_only_by_the_generic_fallbacks():
-    proc = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_structure_constants_are_levi_civita(g):
     eps = np.zeros((3, 3, 3))
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[a, b, c] = 1.0
         eps[b, a, c] = -1.0
-    assert np.allclose(g.structure, eps, atol=EXACT)
+    # C[a, b] = [e_a, e_b], read off the bracket of unit vectors
+    units = np.eye(3)
+    c = np.array([[g.bracket_arr(ea, eb) for eb in units] for ea in units])
+    assert np.allclose(c, eps, atol=EXACT)
 
 
 def _seeded_coeffs(rr, shape, offset=0):
@@ -358,7 +330,7 @@ def assert_same_bits(a, b):
     ((2, 64, 64, 3), (1, 64, 64, 3)),  # the broadcast of cov_diff
 ])
 def test_so3_closed_forms_match_generic_path_bit_for_bit(g, xshape, yshape):
-    clone = MatrixGroup("so3-generic", g.basis, 0.5)
+    clone = reference_so3()
     rr = np.random.default_rng(31)
     x, y = _seeded_coeffs(rr, xshape, 1), _seeded_coeffs(rr, yshape, 2)
     assert_same_bits(g.bracket_arr(x, y), clone.bracket_arr(x, y))
@@ -368,3 +340,8 @@ def test_so3_closed_forms_match_generic_path_bit_for_bit(g, xshape, yshape):
     mats[..., 1, 2] = -0.0  # against the +0.0 of the rows zeroed above
     assert_same_bits(g.to_coeffs(mats), clone.to_coeffs(mats))
     assert_same_bits(g.to_coeffs(g.hat(x)), clone.to_coeffs(clone.hat(x)))
+
+
+def test_matrix_group_describes_so3_only():
+    with pytest.raises(ValueError, match="SO3 only"):
+        MatrixGroup("SU2")
