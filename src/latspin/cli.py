@@ -27,7 +27,7 @@ from .lattice import (
     d_alg,
     div_dual,
     l2_pair,
-    snapshot_arrays,
+    snapshot,
 )
 from .lie import group_by_name, so3
 
@@ -234,11 +234,11 @@ def trajectory_rows(spec, traj, steps):
     """Monitor rows at the given steps; traj holds steps n-1..n+1 of each step n."""
     rows = []
     for n in steps:
-        t, s = traj.times[n], traj.states[n]
+        s = traj.states[n]
         rows.append({
-            "t": t,
-            "l_value": lagrangian.reduced_l(spec, t, s),
-            "energy": dynamics.energy(spec, t, s),
+            "t": s.t,
+            "l_value": lagrangian.reduced_l(spec, s.t, s),
+            "energy": dynamics.energy(spec, s.t, s),
             **dynamics.monitor_row(spec, traj, n),
         })
     return rows
@@ -282,8 +282,7 @@ def _write_json(fh, obj, chunk=1024):
 def _write_state(outdir, traj, n):
     """state_<n>.json: the time and snapshots of nu and gamma at step n."""
     state = traj.states[n]
-    snap = {"t": traj.times[n], "nu": snapshot_arrays(state.nu),
-            "gamma": snapshot_arrays(state.gamma)}
+    snap = {"t": state.t, "nu": snapshot(state.nu), "gamma": snapshot(state.gamma)}
     with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
         _write_json(fh, snap)
 
@@ -482,7 +481,8 @@ def verify_suite(seed=0, sizes=(32, 16)):
             if 0 < n < traj.steps:
                 r0 = dynamics.covariant_residual(spec, traj, n)
                 ra = dynamics.covariant_residual(spec, traj, n, abar)
-                w = lagrangian.delta_l_delta_gamma(spec, traj.times[n], traj.states[n])
+                s = traj.states[n]
+                w = lagrangian.delta_l_delta_gamma(spec, s.t, s)
                 scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
                 gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
 

@@ -35,7 +35,7 @@ from .fields import (
     cov_diff_array,
     cov_div,
     cov_div_array,
-    curvature_max,
+    curvature,
     gauge_act,
     reconstruct_step,
 )
@@ -55,6 +55,7 @@ from .lattice import (
     Grid,
     GroupField,
     NonFiniteError,
+    _check_same_grid,
     div_array,
     div_dual,
     l2_pair,
@@ -107,7 +108,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SimConfig:
-    """Resolved simulation setup (profiles already expanded into fields)."""
+    """Resolved simulation setup (profiles already expanded into fields).
+
+    nu0 and gamma0 must live on grid and group; dt must be positive and finite.
+    """
 
     grid: Grid
     group: MatrixGroup
@@ -121,10 +125,14 @@ class SimConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        _check_same_grid(self, self.nu0)
+        _check_same_grid(self, self.gamma0)
         limit = self.dt * self.nu0.max_norm()
         if limit >= RECONSTRUCTION_SAFETY:
             raise ValueError(
@@ -292,24 +300,24 @@ def _checked(step, field, cls, grid, group, arr):
 class Trajectory:
     """The run of simulate: reduced states and reconstructed group path by step.
 
-    times, states and group_path map a held step index to its value; grid,
-    group, dt, steps and gamma0 come from the configuration (step 0 holds the
-    configuration's nu0 and gamma0 themselves, which nothing here writes to).
-    It holds steps n-1..n+1 at the visit of step n.
+    states and group_path map a held step index to its value, and step k's
+    time is states[k].t, k * dt; grid, group, dt, steps and gamma0 come from
+    the configuration (step 0 holds the configuration's nu0 and gamma0
+    themselves, which nothing here writes to). It holds steps n-1..n+1 at the
+    visit of step n.
     """
 
     def __init__(self, cfg: SimConfig):
         self.grid, self.group, self.gamma0 = cfg.grid, cfg.group, cfg.gamma0
         self.dt, self.steps = cfg.dt, cfg.steps
-        self.times, self.states, self.group_path = {}, {}, {}
+        self.states, self.group_path = {}, {}
 
     def _push(self, k, state, chi):
-        self.times[k] = np.float64(k * self.dt)
         self.states[k] = state
         self.group_path[k] = chi
 
     def _drop(self, k):
-        for held in (self.times, self.states, self.group_path):
+        for held in (self.states, self.group_path):
             held.pop(k, None)
 
 
@@ -405,10 +413,10 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     group = traj.group
     s = traj.states[n]
     sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
-    point = (traj.times[n], sigma1, sigma2)
+    point = (s.t, sigma1, sigma2)
     m_now, w_now = spec.d_sigma1(*point), spec.d_sigma2(*point)
     res = _time_difference(traj, n, lambda k: spec.d_sigma1(
-        traj.times[k], traj.states[k].nu.values, -traj.states[k].gamma.comps))
+        traj.states[k].t, traj.states[k].nu.values, -traj.states[k].gamma.comps))
     w_field = DualVectorField(traj.grid, group, np.asarray(w_now, float))
     if abar is None:
         res += div_dual(w_field).values
@@ -429,7 +437,7 @@ def _action_term(spec, traj, n, chi_n, chi_next):
     term of the discrete action, from the matrices of chi at steps n and n+1."""
     grid, group, dt = traj.grid, traj.group, traj.dt
     vel = group.log_arr(chi_next @ group.inverse_arr(chi_n)) / dt
-    return dt * instantaneous_L(spec, traj.times[n], GroupField(grid, group, chi_n),
+    return dt * instantaneous_L(spec, traj.states[n].t, GroupField(grid, group, chi_n),
                                 AlgebraField(grid, group, vel), traj.gamma0)
 
 
@@ -500,7 +508,7 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     gap = max_row_norm(closed)
     return {
         "advection_residual": advection,
-        "curvature_max": curvature_max(s.gamma),
+        "curvature_max": max_row_norm(curvature(s.gamma)),
         "exact_advect_gap": gap,
     }
 

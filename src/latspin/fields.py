@@ -36,7 +36,6 @@ __all__ = [
     "cov_diff_array",
     "cov_div_array",
     "curvature",
-    "curvature_max",
     "advect_exact",
     "reconstruct_step",
 ]
@@ -123,43 +122,21 @@ def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
     return DualField(gamma.grid, gamma.group, values)
 
 
-def _field_strength(gamma: ConnectionForm, i: int, j: int) -> np.ndarray:
-    """F_ij = D_i gamma_j - D_j gamma_i + [gamma_i, gamma_j] as a coefficient field."""
-    grid = gamma.grid
-    f = cdiff_array(gamma.comps[j], i, grid.spacing[i])
-    f -= cdiff_array(gamma.comps[i], j, grid.spacing[j])
-    f += gamma.group.bracket_arr(gamma.comps[i], gamma.comps[j])
-    return f
-
-
 def curvature(gamma: ConnectionForm) -> np.ndarray:
-    """Field strength F_ij = D_i gamma_j - D_j gamma_i + [gamma_i, gamma_j].
+    """Field strength F_ij = D_i gamma_j - D_j gamma_i + [gamma_i, gamma_j], i < j.
 
-    Returned as an antisymmetric (dim, dim) block of coefficient fields;
-    identically zero in one dimension.
+    The blocks (0, 1), (0, 2), ..., (1, 2), ... stacked as coefficient fields,
+    shape (dim(dim-1)/2, sites..., d): F_ji = -F_ij and F_ii = 0 add nothing,
+    and a one-dimensional grid has no block. Each block is formed in place.
     """
-    grid = gamma.grid
-    d = gamma.group.algebra_dim
-    out = np.zeros((grid.dim, grid.dim) + grid.sizes + (d,))
-    for i in range(grid.dim):
-        for j in range(i + 1, grid.dim):
-            f = _field_strength(gamma, i, j)
-            out[i, j] = f
-            out[j, i] = -f
+    grid, group, comps = gamma.grid, gamma.group, gamma.comps
+    pairs = [(i, j) for i in range(grid.dim) for j in range(i + 1, grid.dim)]
+    out = np.empty((len(pairs),) + comps.shape[1:])
+    for block, (i, j) in zip(out, pairs):
+        cdiff_array(comps[j], i, grid.spacing[i], out=block)
+        block -= cdiff_array(comps[i], j, grid.spacing[j])
+        block += group.bracket_arr(comps[i], comps[j])
     return out
-
-
-def curvature_max(gamma: ConnectionForm) -> float:
-    """Largest pointwise kappa-norm of the field strength.
-
-    The max over the blocks F_ij with i < j, without building the whole
-    antisymmetric block: F_ji = -F_ij has the same norms and the diagonal is
-    zero. Grids have one or two axes, so there is at most one such block and
-    a NaN norm is returned as the whole-block maximum would return it.
-    """
-    dim = gamma.grid.dim
-    return max((max_row_norm(_field_strength(gamma, i, j))
-                for i in range(dim) for j in range(i + 1, dim)), default=0.0)
 
 
 def advect_exact(chi: GroupField, gamma0: ConnectionForm) -> ConnectionForm:

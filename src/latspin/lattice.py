@@ -38,7 +38,6 @@ __all__ = [
     "l2_pair",
     "right_log_derivative",
     "snapshot",
-    "snapshot_arrays",
     "field_from_snapshot",
 ]
 
@@ -75,8 +74,8 @@ class Grid:
             raise ValueError("spacing must list one value per axis")
         if any(n < MIN_SITES_PER_AXIS for n in sizes):
             raise ValueError(f"each axis needs at least {MIN_SITES_PER_AXIS} sites")
-        if any(h <= 0 for h in spacing):
-            raise ValueError("grid spacing must be positive")
+        if not all(0 < h < math.inf for h in spacing):
+            raise ValueError("grid spacing must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -118,73 +117,84 @@ def _check_same_grid(a, b):
 
 
 @dataclass
-class AlgebraField:
+class _Field:
+    """The body the lattice containers share: a grid, a group, and one float
+    array of shape _shape(grid, group), held in the attribute named _data.
+
+    Each container's own __post_init__ calls _check, so every class keeps a
+    construction hook of its own (perfbench's field_wrap span wraps the four
+    coefficient containers' hooks class by class).
+    """
+
+    grid: Grid
+    group: MatrixGroup
+
+    _data = "values"
+
+    @staticmethod
+    def _shape(grid, group) -> tuple:
+        return grid.sizes + (group.algebra_dim,)
+
+    def _check(self, finite=True):
+        """Store the data as a float array of the class's shape, finite if finite."""
+        arr = np.asarray(getattr(self, self._data), float)
+        setattr(self, self._data, arr)
+        want = self._shape(self.grid, self.group)
+        if arr.shape != want:
+            raise ValueError(f"{self._data} must have shape {want}, got {arr.shape}")
+        if finite and not np.isfinite(arr).all():
+            raise NonFiniteError(f"{type(self).__name__} {self._data} must be finite")
+
+
+class _Coefficients(_Field):
+    """A container of finite algebra or dual coefficients."""
+
+    @classmethod
+    def zeros(cls, grid, group):
+        return cls(grid, group, np.zeros(cls._shape(grid, group)))
+
+    def max_norm(self) -> float:
+        return max_row_norm(getattr(self, self._data))
+
+
+@dataclass
+class AlgebraField(_Coefficients):
     """Map from the lattice into the Lie algebra, stored as coefficients (sites..., d)."""
 
-    grid: Grid
-    group: MatrixGroup
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        want = self.grid.sizes + (self.group.algebra_dim,)
-        if self.values.shape != want:
-            raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteError("field values must be finite")
-
-    @classmethod
-    def zeros(cls, grid, group):
-        return cls(grid, group, np.zeros(grid.sizes + (group.algebra_dim,)))
-
-    def max_norm(self) -> float:
-        return max_row_norm(self.values)
+        self._check()
 
 
 @dataclass
-class DualField:
+class DualField(_Coefficients):
     """Map from the lattice into the dual algebra (coefficients in the dual basis)."""
 
-    grid: Grid
-    group: MatrixGroup
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        want = self.grid.sizes + (self.group.algebra_dim,)
-        if self.values.shape != want:
-            raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteError("field values must be finite")
-
-    @classmethod
-    def zeros(cls, grid, group):
-        return cls(grid, group, np.zeros(grid.sizes + (group.algebra_dim,)))
-
-    def max_norm(self) -> float:
-        return max_row_norm(self.values)
+        self._check()
 
 
 @dataclass
-class GroupField:
+class GroupField(_Field):
     """Map from the lattice into G, stored as matrices (sites..., n, n).
 
     Only field_from_snapshot, where outside data enters, checks membership."""
 
-    grid: Grid
-    group: MatrixGroup
     values: np.ndarray
 
+    @staticmethod
+    def _shape(grid, group) -> tuple:
+        return grid.sizes + (group.matrix_dim,) * 2
+
     def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        n = self.group.matrix_dim
-        want = self.grid.sizes + (n, n)
-        if self.values.shape != want:
-            raise ValueError(f"values must have shape {want}, got {self.values.shape}")
+        self._check(finite=False)
 
     @classmethod
     def identity(cls, grid, group):
-        eye = np.broadcast_to(group.identity(), grid.sizes + (group.matrix_dim,) * 2)
+        eye = np.broadcast_to(group.identity(), cls._shape(grid, group))
         return cls(grid, group, eye.copy())
 
     def inverse(self) -> "GroupField":
@@ -197,47 +207,31 @@ class GroupField:
 
 
 @dataclass
-class ConnectionForm:
+class ConnectionForm(_Coefficients):
     """Algebra-valued one-form: one coefficient field per grid axis (dim, sites..., d)."""
 
-    grid: Grid
-    group: MatrixGroup
     comps: np.ndarray
 
+    _data = "comps"
+
+    @staticmethod
+    def _shape(grid, group) -> tuple:
+        return (grid.dim,) + grid.sizes + (group.algebra_dim,)
+
     def __post_init__(self):
-        self.comps = np.asarray(self.comps, float)
-        want = (self.grid.dim,) + self.grid.sizes + (self.group.algebra_dim,)
-        if self.comps.shape != want:
-            raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
-        if not np.isfinite(self.comps).all():
-            raise NonFiniteError("one-form components must be finite")
-
-    @classmethod
-    def zeros(cls, grid, group):
-        return cls(grid, group, np.zeros((grid.dim,) + grid.sizes + (group.algebra_dim,)))
-
-    def max_norm(self) -> float:
-        return max_row_norm(self.comps)
+        self._check()
 
 
 @dataclass
-class DualVectorField:
+class DualVectorField(_Coefficients):
     """Dual-algebra-valued vector field, one component per grid axis."""
 
-    grid: Grid
-    group: MatrixGroup
     comps: np.ndarray
 
-    def __post_init__(self):
-        self.comps = np.asarray(self.comps, float)
-        want = (self.grid.dim,) + self.grid.sizes + (self.group.algebra_dim,)
-        if self.comps.shape != want:
-            raise ValueError(f"components must have shape {want}, got {self.comps.shape}")
-        if not np.isfinite(self.comps).all():
-            raise NonFiniteError("vector field components must be finite")
+    _data, _shape = "comps", staticmethod(ConnectionForm._shape)
 
-    def max_norm(self) -> float:
-        return max_row_norm(self.comps)
+    def __post_init__(self):
+        self._check()
 
 
 # -- operators ---------------------------------------------------------------
@@ -355,31 +349,22 @@ _KINDS = {
 }
 
 
-def snapshot_arrays(f) -> dict:
-    """snapshot(f) with its data as the flat row-major array of f (a view).
-
-    A writer can encode the data chunk by chunk from the array, where
-    snapshot holds the whole field as a list of floats.
+def snapshot(f) -> dict:
+    """Snapshot of f: its header, and its data as the flat row-major array of f
+    (a view). json.dumps(snap, default=np.ndarray.tolist) serializes it, and a
+    writer can encode the data chunk by chunk straight from the array.
     """
     for kind, cls in _KINDS.items():
         if type(f) is cls:
-            data = f.comps if hasattr(f, "comps") else f.values
             return {
                 "dim": f.grid.dim,
                 "sizes": list(f.grid.sizes),
                 "spacing": list(f.grid.spacing),
                 "group": f.group.name,
                 "kind": kind,
-                "data": data.reshape(-1),
+                "data": getattr(f, f._data).reshape(-1),
             }
     raise TypeError(f"cannot snapshot {type(f).__name__}")
-
-
-def snapshot(f) -> dict:
-    """Serializable snapshot: header plus flat row-major data."""
-    snap = snapshot_arrays(f)
-    snap["data"] = snap["data"].tolist()
-    return snap
 
 
 def field_from_snapshot(snap: dict, group: MatrixGroup):
@@ -390,12 +375,7 @@ def field_from_snapshot(snap: dict, group: MatrixGroup):
         )
     grid = Grid(tuple(snap["sizes"]), tuple(snap["spacing"]))
     cls = _KINDS[snap["kind"]]
-    data = np.asarray(snap["data"], float)
+    data = np.asarray(snap["data"], float).reshape(cls._shape(grid, group))
     if cls is GroupField:
-        data = data.reshape(grid.sizes + (group.matrix_dim,) * 2)
         group.check_membership(data)
-    elif cls in (ConnectionForm, DualVectorField):
-        data = data.reshape((grid.dim,) + grid.sizes + (group.algebra_dim,))
-    else:
-        data = data.reshape(grid.sizes + (group.algebra_dim,))
     return cls(grid, group, data)

@@ -31,7 +31,6 @@ def whole_trajectory(cfg):
     whole = dynamics.Trajectory(cfg)
 
     def keep(traj, n):
-        whole.times.update(traj.times)
         whole.states.update(traj.states)
         whole.group_path.update(traj.group_path)
 

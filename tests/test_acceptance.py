@@ -234,7 +234,7 @@ def test_criterion_5_covariant_order_and_background(g, spec, ladder_1d):
     for n in range(1, traj.steps):
         r0 = dynamics.covariant_residual(spec, traj, n)
         ra = dynamics.covariant_residual(spec, traj, n, abar)
-        w = lagrangian.delta_l_delta_gamma(spec, traj.times[n], traj.states[n])
+        w = lagrangian.delta_l_delta_gamma(spec, traj.states[n].t, traj.states[n])
         scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
         gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
     ok = order >= ORDER_MIN and gap <= ABAR_TOL

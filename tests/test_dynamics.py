@@ -22,7 +22,7 @@ from latspin.fields import (
     advect_exact,
     cov_diff,
     cov_div,
-    curvature_max,
+    curvature,
 )
 from latspin.lagrangian import (
     DensitySpec,
@@ -35,6 +35,7 @@ from latspin.lattice import (
     AlgebraField,
     ConnectionForm,
     Grid,
+    GridMismatchError,
     GroupField,
     NonFiniteError,
     d_alg,
@@ -438,6 +439,28 @@ def test_simconfig_rejects_large_dt(spec, g, grid32):
         SimConfig(grid32, g, spec, nu0, ConnectionForm.zeros(grid32, g), dt=0.1, steps=1)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_simconfig_rejects_non_finite_dt(spec, g, grid32, dt):
+    # a NaN dt would otherwise first show as a divergence at step 1, and an
+    # infinite one passes the safety bound when nu0 is zero (inf * 0 is NaN)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        SimConfig(grid32, g, spec, AlgebraField.zeros(grid32, g),
+                  ConnectionForm.zeros(grid32, g), dt=dt, steps=1)
+
+
+@pytest.mark.parametrize("field", ["nu0", "gamma0"])
+@pytest.mark.parametrize("other", ["spacing", "group"])
+def test_simconfig_rejects_fields_on_another_grid_or_group(spec, g, field, other):
+    # otherwise step 0 would report the fields' grid and every later step the
+    # configuration's, and only advect_exact in a monitor would notice
+    grid = Grid((8,), (1.0 / 32,))
+    home = (Grid((8,), (1.0 / 8,)), g) if other == "spacing" else (grid, reference_so3())
+    fields = {"nu0": AlgebraField.zeros(grid, g), "gamma0": ConnectionForm.zeros(grid, g)}
+    fields[field] = type(fields[field]).zeros(*home)
+    with pytest.raises(GridMismatchError):
+        SimConfig(grid, g, spec, fields["nu0"], fields["gamma0"], dt=0.01, steps=1)
+
+
 # -- energy ------------------------------------------------------------------------
 
 
@@ -624,7 +647,7 @@ def one_sided_reference(spec, traj, n):
 
     return {
         "advection_residual": max_norm(dgamma + cov_diff(s.gamma, s.nu).comps),
-        "curvature_max": curvature_max(s.gamma),
+        "curvature_max": max_norm(curvature(s.gamma)),
         "covariant_residual": max_norm(res),
         "exact_advect_gap": max_norm(s.gamma.comps - closed.comps),
     }
@@ -662,12 +685,12 @@ def test_simulate_visits_a_three_step_window(spec, g, grid2d16, steps):
 
     def visit(window, n):
         assert sorted(window.states) == list(range(max(n - 1, 0), min(n + 1, steps) + 1))
-        assert sorted(window.times) == sorted(window.group_path) == sorted(window.states)
+        assert sorted(window.group_path) == sorted(window.states)
         assert (window.steps, window.dt) == (steps, cfg.dt)
         assert window.grid is cfg.grid and window.group is cfg.group
         assert np.array_equal(window.gamma0.comps, traj.gamma0.comps)
         for k in window.states:
-            assert window.times[k] == traj.times[k] == k * cfg.dt
+            assert window.states[k].t == traj.states[k].t == k * cfg.dt
             assert np.array_equal(window.states[k].nu.values, traj.states[k].nu.values)
             assert np.array_equal(window.states[k].gamma.comps, traj.states[k].gamma.comps)
             assert np.array_equal(window.group_path[k].values, traj.group_path[k].values)

@@ -24,8 +24,10 @@ from latspin.lattice import (
     Grid,
     GridMismatchError,
     GroupField,
+    cdiff_array,
     d_alg,
     l2_pair,
+    max_row_norm,
     right_log_derivative,
 )
 
@@ -145,13 +147,23 @@ def test_cov_div_trace_term_vanishes_on_own_flat(g, grid32):
 
 def test_curvature_zero_connection(g, grid2d16):
     f = curvature(ConnectionForm.zeros(grid2d16, g))
+    assert f.shape == (1, 16, 16, 3)
     assert np.max(np.abs(f)) == 0.0
 
 
 def test_curvature_empty_in_one_dimension(g, grid32):
+    # a line has no pair of axes, so no block
     f = curvature(fourier_connection(grid32, g, 2, 0.9, 12))
-    assert f.shape[:2] == (1, 1)
-    assert np.max(np.abs(f)) == 0.0
+    assert f.shape == (0, 32, 3)
+    assert max_row_norm(f) == 0.0
+
+
+def test_curvature_block_is_the_field_strength(g, grid2d16):
+    gamma = fourier_connection(grid2d16, g, 2, 0.7, 18)
+    a, b = gamma.comps
+    h0, h1 = grid2d16.spacing
+    want = cdiff_array(b, 0, h0) - cdiff_array(a, 1, h1) + g.bracket_arr(a, b)
+    assert np.array_equal(curvature(gamma), want[None])
 
 
 def test_pure_gauge_is_flat_to_second_order(g):
@@ -172,10 +184,7 @@ def test_curvature_equivariance_second_order(g):
         lam = group_field_from_profile(grid, g, 1, 0.5, 15)
         moved = curvature(gauge_act(lam, gamma))
         inv = lam.inverse()
-        pushed = np.empty_like(moved)
-        for i in range(2):
-            for j in range(2):
-                pushed[i, j] = g.ad_arr(inv.values, curvature(gamma)[i, j])
+        pushed = g.ad_arr(inv.values, curvature(gamma)[0])[None]
         defects.append(np.max(np.abs(moved - pushed)))
     orders = refine_orders(defects)
     assert np.all(orders > 1.7)

@@ -46,6 +46,8 @@ def test_grid_volume_and_sites():
     ((8,), (0.0,)),           # degenerate spacing
     ((8, 8, 8), (1.0,) * 3),  # unsupported dimension
     ((8, 8), (1.0,)),         # spacing arity
+    ((8,), (np.nan,)),        # non-finite spacing
+    ((8, 8), (1.0, np.inf)),  # non-finite spacing
 ])
 def test_grid_validation(sizes, spacing):
     with pytest.raises(ValueError):
@@ -59,6 +61,31 @@ def test_field_shape_and_finiteness(g, grid32):
     bad[5, 1] = np.inf
     with pytest.raises(ValueError):
         AlgebraField(grid32, g, bad)
+
+
+@pytest.mark.parametrize("cls,lead", [
+    (AlgebraField, ()), (DualField, ()), (ConnectionForm, (1,)), (DualVectorField, (1,)),
+])
+def test_coefficient_containers_share_one_body(g, grid32, cls, lead):
+    shape = lead + (32, 3)
+    zero = cls.zeros(grid32, g)
+    assert getattr(zero, "comps" if lead else "values").shape == shape
+    assert zero.max_norm() == 0.0
+    assert "__post_init__" in vars(cls)  # a construction hook of its own
+    with pytest.raises(ValueError, match="must have shape"):
+        cls(grid32, g, np.zeros(lead + (32, 2)))
+    bad = np.ones(shape)
+    assert cls(grid32, g, bad).max_norm() == np.sqrt(3.0)
+    bad[(0,) * len(lead) + (5, 1)] = np.nan
+    with pytest.raises(NonFiniteError):
+        cls(grid32, g, bad)
+
+
+def test_group_field_checks_shape_only(g, grid32):
+    with pytest.raises(ValueError, match="must have shape"):
+        GroupField(grid32, g, np.zeros((32, 3)))
+    # membership, and with it finiteness, is checked where outside data enters
+    assert np.isnan(GroupField(grid32, g, np.full((32, 3, 3), np.nan)).values).all()
 
 
 # -- central differences -----------------------------------------------------------

@@ -65,6 +65,9 @@ def test_every_span_resolves_and_uninstall_restores(tmp_path):
     assert counts["dynamics.simulate.calls"] == 1
     assert counts["dynamics.aep_rhs.calls"] == 4 * steps
     assert counts["fields.reconstruct_step.calls"] == 2 * steps
+    # steps 0, 2 and 3 are written: two snapshots and one curvature each
+    assert counts["lattice.snapshot.calls"] == 6
+    assert counts["fields.curvature.calls"] == 3
     after = bindings(tracer_module)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
