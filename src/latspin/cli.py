@@ -36,6 +36,7 @@ __all__ = ["ConfigError", "main", "run_simulate", "run_verify", "run_convergence
 SERIES_HEADER = "t,l_value,energy,advection_residual,curvature_max,covariant_residual,exact_advect_gap"
 ORDER_THRESHOLD = 1.7
 ZERO_LADDER_FLOOR = 1e-12
+VERIFY_SIZES = (32, 16)  # default verify --sizes: 1-D sites, 2-D sites per axis
 
 
 class ConfigError(ValueError):
@@ -371,7 +372,7 @@ def _report(name, bound, tol, lines):
     return ok
 
 
-def verify_suite(seed=0, sizes=(32, 16)):
+def verify_suite(seed=0, sizes=VERIFY_SIZES):
     """Property suite over both grid dimensions; returns (all_ok, lines).
 
     Each line is (name, passed, measured_bound, tolerance). The gauge
@@ -493,7 +494,7 @@ def verify_suite(seed=0, sizes=(32, 16)):
     return all_ok, lines
 
 
-def run_verify(seed=0, sizes=(32, 16)) -> int:
+def run_verify(seed=0, sizes=VERIFY_SIZES) -> int:
     if seed < 0:
         print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
         return 2
@@ -642,7 +643,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the property verification suite")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--sizes", type=int, nargs=2, default=(32, 16),
+    p_ver.add_argument("--sizes", type=int, nargs=2, default=VERIFY_SIZES,
                        metavar=("N1D", "N2D"))
 
     p_conv = sub.add_parser("convergence", help="run a refinement ladder")

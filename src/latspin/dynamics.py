@@ -22,6 +22,7 @@ run on the Trajectory that simulate passes to its visitor, which holds those.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,8 +225,8 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
     nu (sites..., d) and gamma (dim, sites..., d) are coefficient arrays; no
     field container is built, so the caller checks finiteness.
 
-    For a density that self_test measured isotropic, delta l/delta nu is
-    parallel to nu and each delta l/delta gamma_i to gamma_i, so both ad*
+    For an isotropic density (scalar inertia and stiffness), delta l/delta nu
+    is parallel to nu and each delta l/delta gamma_i to gamma_i, so both ad*
     terms vanish and are not computed; covariant_residual keeps them. For
     spin_glass on arrays whose products do not overflow they are exactly
     +0.0, and subtracting +0.0 keeps every bit. Where the products overflow
@@ -441,6 +442,16 @@ def _action_term(spec, traj, n, chi_n, chi_next):
                                 AlgebraField(grid, group, vel), traj.gamma0)
 
 
+@functools.lru_cache(maxsize=1)
+def _probe_table(steps, sizes, d, probes, seed):
+    """The (step, site, basis direction) of each probe, drawn once per run;
+    only the table of the latest run is kept."""
+    rng = np.random.default_rng(seed)
+    return tuple((int(rng.integers(1, steps)),
+                  tuple(int(rng.integers(0, sz)) for sz in sizes),
+                  int(rng.integers(0, d))) for _ in range(probes))
+
+
 def variational_residual(spec: DensitySpec, traj: Trajectory,
                          probes: int = 32, eps: float = 1e-5,
                          seed: int = 0) -> float:
@@ -454,20 +465,16 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
     dt times the cell volume) so values are comparable across resolutions.
     This is the independent Euler-Lagrange oracle for simulated trajectories.
 
-    Every call draws the same probes and evaluates those whose steps n-1..n+1
-    traj holds, so the maximum over the visits of a run evaluates each probe
-    once and equals the value on the whole trajectory.
+    Every call of a run reads the same probe table and evaluates the probes
+    whose steps n-1..n+1 traj holds, so the maximum over the visits of a run
+    evaluates each probe once and equals the value on the whole trajectory.
     """
     if traj.steps < 2:
         raise ValueError("need at least one interior step")
-    rng = np.random.default_rng(seed)
     grid, group = traj.grid, traj.group
     d = group.algebra_dim
     worst = 0.0
-    for _ in range(probes):
-        n = int(rng.integers(1, traj.steps))
-        site = tuple(int(rng.integers(0, sz)) for sz in grid.sizes)
-        a = int(rng.integers(0, d))
+    for n, site, a in _probe_table(traj.steps, grid.sizes, d, probes, seed):
         if not all(k in traj.group_path for k in (n - 1, n, n + 1)):
             continue
         coeffs = np.zeros((d,))

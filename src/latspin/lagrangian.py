@@ -1,13 +1,9 @@
 """Lagrangian layer: reduced densities, the instantaneous Lagrangian, derivatives.
 
-Sign conventions for the functional derivatives are pinned by the central
-finite-difference oracle, not transcribed from any closed form: for the
-quadratic spin-glass density the oracle yields
-
-    delta l / delta nu    = flat(nu)
-    delta l / delta gamma = -flat(gamma)   (per axis)
-
-and the analytic implementations must reproduce that.
+The central finite-difference oracle fd_gradient_oracle is the sign authority:
+for a density with inertia I and stiffness K it yields delta l/delta nu =
+flat(nu I) and, per axis, delta l/delta gamma_i = -flat(gamma_i K). The
+declared closed forms must reproduce that; `verify` and the tests check them.
 """
 
 from __future__ import annotations
@@ -41,94 +37,65 @@ __all__ = [
     "reduction_identity_gap",
 ]
 
-SELF_TEST_TOL = 1e-6
 FD_EPS_MIN = 1e-7
 FD_EPS_MAX = 1e-3
 
 
+def _weight(name, w):
+    """A positive scalar, as a float, or a length-3 per-basis diagonal."""
+    arr = np.array(w, dtype=float)
+    if arr.shape not in ((), (3,)) or not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError(f"{name} must be a positive scalar or 3 positive per-basis weights")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 class DensitySpec:
-    """Pointwise reduced density value(t, sigma1, sigma2) with fiber derivatives.
+    """The quadratic sigma-model density with inertia I and stiffness K,
 
-    The callables are vectorized over sites: sigma1 has shape (sites..., d),
-    sigma2 has shape (dim, sites..., d); value returns (sites...,), d_sigma1
-    returns (sites..., d), d_sigma2 returns (dim, sites..., d).
+        value(t, sigma1, sigma2) = (<sigma1, sigma1 I> - sum_i <sigma2_i, sigma2_i K>) / 2,
 
-    sigma1 -> d_sigma1 must be an invertible site-local linear map
-    (independent of t and sigma2); kinetic_inverse(rho) applies its inverse to
-    dual coefficients rho (sites..., d). aep_rhs passes a fresh rho and owns
-    the result, so kinetic_inverse may overwrite rho or return it.
+    with I and K positive scalars or length-3 diagonals in the algebra basis.
+    sigma1 has shape (sites..., d) and sigma2 (dim, sites..., d); d_sigma1 and
+    d_sigma2 return those shapes and value returns (sites...,).
+    kinetic_inverse(rho) divides a fresh rho (sites..., d) by I in place.
 
-    isotropic is measured by self_test: whether d_sigma1 and each axis of
-    d_sigma2 are, on its samples, scalar multiples of sigma1 and sigma2_i.
-    They are then flat maps of the ad-invariant kappa up to scale, so
+    isotropic holds when I and K are scalars: d_sigma1 and each axis of
+    d_sigma2 are then flat maps of the ad-invariant kappa up to scale, so
     ad*_{sigma1}(d_sigma1) and sum_i ad*_{sigma2_i}(d_sigma2)_i vanish
-    identically and aep_rhs skips them. A spec that has not run self_test,
-    or failed it, has False, and aep_rhs evaluates the full formula.
+    identically and aep_rhs skips them.
     """
 
-    def __init__(self, name, value, d_sigma1, d_sigma2, kinetic_inverse):
+    def __init__(self, name, inertia, stiffness):
         self.name = name
-        self.value = value
-        self.d_sigma1 = d_sigma1
-        self.d_sigma2 = d_sigma2
-        self.kinetic_inverse = kinetic_inverse
-        self.isotropic = False
+        self.inertia = _weight("inertia", inertia)
+        self.stiffness = _weight("stiffness", stiffness)
 
-    def self_test(self, dim, algebra_dim, seed=0, eps=1e-6):
-        """Check the declared fiber derivatives against central differences,
-        and set isotropic to whether they are parallel to their arguments."""
-        rng = np.random.default_rng(seed)
-        worst = skew = 0.0
-        for _ in range(5):
-            s1 = rng.normal(size=(algebra_dim,))
-            s2 = rng.normal(size=(dim, algebra_dim))
-            t = float(rng.normal())
-            g1 = np.asarray(self.d_sigma1(t, s1, s2), float)
-            g2 = np.asarray(self.d_sigma2(t, s1, s2), float)
-            scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)), 1.0)
-            for a in range(algebra_dim):
-                bump = np.zeros_like(s1)
-                bump[a] = eps
-                fd = (self.value(t, s1 + bump, s2) - self.value(t, s1 - bump, s2)) / (2 * eps)
-                worst = max(worst, abs(fd - g1[a]) / scale)
-            for i in range(dim):
-                for a in range(algebra_dim):
-                    bump = np.zeros_like(s2)
-                    bump[i, a] = eps
-                    fd = (self.value(t, s1, s2 + bump) - self.value(t, s1, s2 - bump)) / (2 * eps)
-                    worst = max(worst, abs(fd - g2[i, a]) / scale)
-            for s, g in ((s1, g1), *zip(s2, g2)):
-                perp = g - (g @ s) / (s @ s) * s
-                skew = max(skew, np.max(np.abs(perp)) / scale)
-        self.isotropic = bool(worst <= SELF_TEST_TOL and skew <= SELF_TEST_TOL)
-        if worst > SELF_TEST_TOL:
-            raise ValueError(
-                f"density {self.name!r} fiber derivatives disagree with "
-                f"finite differences (relative error {worst:.3e})"
-            )
-        return worst
+    @property
+    def isotropic(self) -> bool:
+        return isinstance(self.inertia, float) and isinstance(self.stiffness, float)
+
+    def value(self, t, s1, s2):
+        kin = np.einsum("...a,...a->...", s1, s1 * self.inertia)
+        pot = np.einsum("i...a,i...a->...", s2, s2 * self.stiffness)
+        return 0.5 * (kin - pot)
+
+    def d_sigma1(self, t, s1, s2):
+        return s1 * self.inertia
+
+    def d_sigma2(self, t, s1, s2):
+        return s2 * -self.stiffness
+
+    def kinetic_inverse(self, rho):
+        rho /= self.inertia
+        return rho
 
 
 def spin_glass_spec() -> DensitySpec:
-    """Quadratic sigma-model density value = (|sigma1|^2 - sum_i |sigma2_i|^2) / 2."""
-
-    def value(t, s1, s2):
-        kin = np.einsum("...a,...a->...", s1, s1)
-        pot = np.einsum("i...a,i...a->...", s2, s2)
-        return 0.5 * (kin - pot)
-
-    def d_sigma1(t, s1, s2):
-        return np.array(s1, dtype=float, copy=True)
-
-    def d_sigma2(t, s1, s2):
-        return -np.asarray(s2, float)
-
-    # the kinetic map is the identity, so its inverse returns the rho it is given
-    return DensitySpec("spin_glass", value, d_sigma1, d_sigma2,
-                       kinetic_inverse=lambda rho: rho)
+    """value = (|sigma1|^2 - sum_i |sigma2_i|^2) / 2: unit inertia and stiffness."""
+    return DensitySpec("spin_glass", 1.0, 1.0)
 
 
-_REGISTRY = {"spin_glass": spin_glass_spec}
+_REGISTRY = {"spin_glass": spin_glass_spec()}
 
 
 def available_specs():
@@ -136,16 +103,10 @@ def available_specs():
 
 
 def get_spec(name: str) -> DensitySpec:
-    """Instantiate a registered density, running its derivative self-test."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown lagrangian {name!r}; available: {available_specs()}"
-        ) from None
-    spec = factory()
-    spec.self_test(dim=2, algebra_dim=3)
-    return spec
+    """The registered density of that name."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown lagrangian {name!r}; available: {available_specs()}")
+    return _REGISTRY[name]
 
 
 # -- functionals ---------------------------------------------------------------
@@ -183,13 +144,12 @@ def instantaneous_L(spec: DensitySpec, t: float, chi: GroupField,
 
 def delta_l_delta_nu_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
     """delta_l_delta_nu on coefficient arrays nu (sites..., d), gamma (dim, sites..., d)."""
-    return spec.d_sigma1(t, nu, -gamma)
+    return spec.d_sigma1(t, nu, gamma)
 
 
 def delta_l_delta_gamma_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
-    """delta_l_delta_gamma on coefficient arrays; the sigma2 = -gamma chain rule
-    flips the sign."""
-    return -spec.d_sigma2(t, nu, -gamma)
+    """delta_l_delta_gamma on coefficient arrays: -d_sigma2(-gamma) = d_sigma2(gamma) (linear)."""
+    return spec.d_sigma2(t, nu, gamma)
 
 
 def delta_l_delta_nu(spec: DensitySpec, t: float, s: ReducedState) -> DualField:

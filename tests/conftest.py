@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latspin import dynamics
+from latspin.lagrangian import DensitySpec
 from latspin.lattice import Grid
 from latspin.lie import so3
 
@@ -36,3 +37,9 @@ def whole_trajectory(cfg):
 
     dynamics.simulate(cfg, keep)
     return whole
+
+
+def anisotropic_spec():
+    """spin_glass with inertia diag(1, 2, 3) and stiffness diag(3, 1, 2): both
+    ad* terms of the right-hand side become non-zero."""
+    return DensitySpec("anisotropic", (1.0, 2.0, 3.0), (3.0, 1.0, 2.0))

@@ -680,6 +680,24 @@ def test_streamed_ladder_equals_the_whole_trajectory_reference(raw, monkeypatch)
             assert got[key] == value, key
 
 
+def test_a_ladder_draws_its_probes_once_per_level(monkeypatch):
+    # variational_residual runs at every visit; the probe generator is built
+    # once per level (probe seed 3 differs from the profile seeds 11 and 12)
+    default_rng, probe_rngs = np.random.default_rng, []
+
+    def counted(seed=None):
+        if seed == 3:
+            probe_rngs.append(seed)
+        return default_rng(seed)
+
+    dynamics._probe_table.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    raw = ladder_case(1, [8, 16, 32])
+    cli.ladder_measurements(raw, raw["ladder"]["sizes"], probes=40, probe_eps=1e-5,
+                            probe_seed=3)
+    assert len(probe_rngs) == 3
+
+
 def test_convergence_peak_memory_is_flat_in_the_step_count(tmp_path):
     # a level holds three steps while it runs: ten times the steps (dt scaled
     # to keep T) adds no held steps, where a whole 64-site level of 320 steps

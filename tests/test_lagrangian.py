@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latspin import cli
 from latspin.dynamics import (
     fourier_algebra_field,
     fourier_connection,
@@ -8,9 +9,12 @@ from latspin.dynamics import (
 )
 from latspin.fields import ReducedState, gauge_act
 from latspin.lagrangian import (
+    DensitySpec,
     available_specs,
     delta_l_delta_gamma,
+    delta_l_delta_gamma_array,
     delta_l_delta_nu,
+    delta_l_delta_nu_array,
     fd_gradient_oracle,
     get_spec,
     instantaneous_L,
@@ -26,6 +30,8 @@ from latspin.lattice import (
     integrate,
     right_log_derivative,
 )
+
+from conftest import anisotropic_spec
 
 FD_TOL = 1e-6
 FD_EPS = 1e-5
@@ -230,13 +236,91 @@ def test_registry_lookup():
         get_spec("nope")
 
 
-def test_spec_self_test_passes(spec):
-    assert spec.self_test(dim=2, algebra_dim=3) <= FD_TOL
+def test_get_spec_is_a_lookup_of_a_declared_isotropic_density(monkeypatch):
+    spec = get_spec("spin_glass")
+    assert spec.isotropic and spec is get_spec("spin_glass")
+    calls = []
+    value = DensitySpec.value
+    monkeypatch.setattr(DensitySpec, "value",
+                        lambda self, *args: calls.append(args) or value(self, *args))
+    cfg = cli.parse_config({
+        "grid": {"dim": 1, "sizes": [8], "spacing": [0.125]},
+        "group": "SO3",
+        "lagrangian": "spin_glass",
+        "init": {"nu": {"profile": "zero"}},
+        "gamma0": {"profile": "zero"},
+        "time": {"dt": 0.01, "steps": 10},
+    })
+    assert cfg.spec is spec
+    assert calls == []  # no finite differences at parse time
 
 
-def test_spec_self_test_catches_sign_error():
+@pytest.mark.parametrize("inertia, stiffness", [
+    (0.0, 1.0), (1.0, -2.0), (1.0, np.inf), ((1.0, np.nan, 2.0), 1.0),
+    ((1.0, 2.0), 1.0), ([[1.0, 2.0, 3.0]], 1.0), ("heavy", 1.0),
+])
+def test_density_weights_are_positive_scalars_or_three_diagonals(inertia, stiffness):
+    with pytest.raises(ValueError):
+        DensitySpec("bad", inertia, stiffness)
+
+
+def test_spin_glass_equals_the_unit_closed_forms_bit_for_bit(g, grid2d16):
+    s1 = fourier_algebra_field(grid2d16, g, 2, 0.7, 5).values
+    s2 = fourier_connection(grid2d16, g, 2, 0.6, 6).comps
+    # whole rows of +0.0 and -0.0, where a sign flip written as a product shows
+    s1[1], s1[2] = 0.0, -0.0
+    s2[:, 3], s2[:, 4] = 0.0, -0.0
+    s2[:, 2], s1[4] = -0.0, 0.0
+    spec = get_spec("spin_glass")
+    rho = s1.copy()
+    pairs = [
+        (spec.value(0.0, s1, s2), 0.5 * (np.einsum("...a,...a->...", s1, s1)
+                                         - np.einsum("i...a,i...a->...", s2, s2))),
+        (spec.d_sigma1(0.0, s1, s2), s1),
+        (spec.d_sigma2(0.0, s1, s2), -s2),
+        (delta_l_delta_nu_array(spec, 0.0, s1, s2), s1),
+        (delta_l_delta_gamma_array(spec, 0.0, s1, s2), -s2),
+        (spec.kinetic_inverse(rho), s1),
+    ]
+    for have, want in pairs:
+        assert np.array_equal(have, want)
+        assert np.array_equal(np.signbit(have), np.signbit(want))
+    for have, _ in pairs[1:5]:
+        assert not np.shares_memory(have, s1) and not np.shares_memory(have, s2)
+    assert pairs[-1][0] is rho  # the kinetic map is the identity: rho is returned
+
+
+def fd_derivative_error(spec, dim, seed=0, eps=1e-6):
+    """Largest gap between the declared d_sigma1, d_sigma2 and central
+    differences of value at random (sigma1, sigma2) on 5 sites, relative to the
+    largest declared derivative. value is site-local, so one bump of basis
+    component a at every site differences all the sites at once."""
+    rng = np.random.default_rng(seed)
+    s1, s2 = rng.normal(size=(5, 3)), rng.normal(size=(dim, 5, 3))
+    g1, g2 = spec.d_sigma1(0.0, s1, s2), spec.d_sigma2(0.0, s1, s2)
+    fd1, fd2 = np.empty_like(s1), np.empty_like(s2)
+    for a in range(3):
+        bump = np.zeros_like(s1)
+        bump[:, a] = eps
+        fd1[:, a] = (spec.value(0.0, s1 + bump, s2)
+                     - spec.value(0.0, s1 - bump, s2)) / (2 * eps)
+        for i in range(dim):
+            bump = np.zeros_like(s2)
+            bump[i, :, a] = eps
+            fd2[i, :, a] = (spec.value(0.0, s1, s2 + bump)
+                            - spec.value(0.0, s1, s2 - bump)) / (2 * eps)
+    scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)), 1.0)
+    return max(np.max(np.abs(fd1 - g1)), np.max(np.abs(fd2 - g2))) / scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("density", [spin_glass_spec, anisotropic_spec])
+def test_declared_derivatives_match_central_differences(density, dim):
+    assert fd_derivative_error(density(), dim) <= FD_TOL
+
+
+def test_central_differences_catch_a_flipped_d_sigma2():
     spec = spin_glass_spec()
     good = spec.d_sigma2
     spec.d_sigma2 = lambda t, s1, s2: -good(t, s1, s2)
-    with pytest.raises(ValueError):
-        spec.self_test(dim=1, algebra_dim=3)
+    assert fd_derivative_error(spec, dim=1) > FD_TOL
