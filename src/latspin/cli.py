@@ -88,6 +88,8 @@ SCHEMA = {
     "ladder.sizes": Rule("levels", MIN_SITES_PER_AXIS),
     "output_dir": Rule("path", default=None),
 }
+_ROWS = {tuple(key.split(".")) for key in SCHEMA}
+_BRANCHES = {row[:depth] for row in _ROWS for depth in range(1, len(row))}
 
 
 def read(cfg, key):
@@ -143,6 +145,19 @@ def _number(key, value, kind, rule):
     return value
 
 
+def _check_known(node, path=()):
+    """Raise the ConfigError of the first key under node, at any depth, that is
+    neither a SCHEMA row nor a prefix of one; a misspelled key is never ignored."""
+    for part, value in node.items():
+        key = path + (part,)
+        if key in _ROWS:
+            continue
+        if key not in _BRANCHES:
+            raise ConfigError(".".join(key), "unknown key")
+        if isinstance(value, dict):
+            _check_known(value, key)
+
+
 def _profile_cfg(cfg, key):
     """The profile name under key and, unless it is zero, its modes, amplitude and seed."""
     out = {"profile": read(cfg, f"{key}.profile")}
@@ -153,6 +168,7 @@ def _profile_cfg(cfg, key):
 
 def parse_config(cfg: dict) -> dynamics.SimConfig:
     """Validate a config document and expand profiles into concrete fields."""
+    _check_known(cfg)
     grid = Grid(read(cfg, "grid.sizes"), read(cfg, "grid.spacing"))
     group = group_by_name(read(cfg, "group"))
     spec = lagrangian.get_spec(read(cfg, "lagrangian"))
@@ -238,8 +254,8 @@ def trajectory_rows(spec, traj, steps):
         s = traj.states[n]
         rows.append({
             "t": s.t,
-            "l_value": lagrangian.reduced_l(spec, s.t, s),
-            "energy": dynamics.energy(spec, s.t, s),
+            "l_value": lagrangian.reduced_l(spec, s),
+            "energy": dynamics.energy(spec, s),
             **dynamics.monitor_row(spec, traj, n),
         })
     return rows
@@ -433,15 +449,15 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
             lam = dynamics.group_field_from_profile(grid, group, modes, 0.5, seed + 500 + k)
             nu_p = dynamics.fourier_algebra_field(grid, group, modes, 0.6, seed + 600 + k)
             gam = dynamics.fourier_connection(grid, group, modes, 0.6, seed + 700 + k)
-            base_val = lagrangian.instantaneous_L(spec, 0.0, chi, nu_p, gam)
+            base_val = lagrangian.instantaneous_L(spec, chi, nu_p, gam)
             moved = lagrangian.instantaneous_L(
-                spec, 0.0, chi.compose(lam), nu_p, gauge_act(lam, gam)
+                spec, chi.compose(lam), nu_p, gauge_act(lam, gam)
             )
             gauge_dev = max(
                 gauge_dev, abs(moved - base_val) / max(abs(base_val), abs(moved), 1e-300)
             )
             red_gap = max(
-                red_gap, lagrangian.reduction_identity_gap(spec, 0.0, chi, nu_p, gam)
+                red_gap, lagrangian.reduction_identity_gap(spec, chi, nu_p, gam)
             )
         _report(f"lagrangian.gauge_invariance.{tag}", gauge_dev, 1e-10, lines)
         _report(f"lagrangian.reduction_identity.{tag}", red_gap, 1e-10, lines)
@@ -449,17 +465,17 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
         fd_nu = fd_gamma = 0.0
         nu = dynamics.fourier_algebra_field(grid, group, modes, 0.6, seed + 800)
         gam = dynamics.fourier_connection(grid, group, modes, 0.6, seed + 900)
-        state = ReducedState(nu, gam, 0.0)
-        analytic_nu = lagrangian.delta_l_delta_nu(spec, 0.0, state)
+        state = ReducedState(nu, gam)
+        analytic_nu = lagrangian.delta_l_delta_nu(spec, state)
         oracle_nu = lagrangian.fd_gradient_oracle(
-            lambda f: lagrangian.reduced_l(spec, 0.0, ReducedState(f, gam, 0.0)),
+            lambda f: lagrangian.reduced_l(spec, ReducedState(f, gam)),
             nu, 1e-5,
         )
         scale = max(float(np.max(np.abs(oracle_nu.values))), 1e-30)
         fd_nu = float(np.max(np.abs(analytic_nu.values - oracle_nu.values))) / scale
-        analytic_gam = lagrangian.delta_l_delta_gamma(spec, 0.0, state)
+        analytic_gam = lagrangian.delta_l_delta_gamma(spec, state)
         oracle_gam = lagrangian.fd_gradient_oracle(
-            lambda f: lagrangian.reduced_l(spec, 0.0, ReducedState(nu, f, 0.0)),
+            lambda f: lagrangian.reduced_l(spec, ReducedState(nu, f)),
             gam, 1e-5,
         )
         scale = max(float(np.max(np.abs(oracle_gam.comps))), 1e-30)
@@ -482,8 +498,7 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
             if 0 < n < traj.steps:
                 r0 = dynamics.covariant_residual(spec, traj, n)
                 ra = dynamics.covariant_residual(spec, traj, n, abar)
-                s = traj.states[n]
-                w = lagrangian.delta_l_delta_gamma(spec, s.t, s)
+                w = lagrangian.delta_l_delta_gamma(spec, traj.states[n])
                 scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
                 gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
 

@@ -40,14 +40,7 @@ from .fields import (
     gauge_act,
     reconstruct_step,
 )
-from .lagrangian import (
-    DensitySpec,
-    delta_l_delta_gamma_array,
-    delta_l_delta_nu,
-    delta_l_delta_nu_array,
-    instantaneous_L,
-    reduced_l,
-)
+from .lagrangian import DensitySpec, delta_l_delta_nu, instantaneous_L, reduced_l
 from .lattice import (
     AlgebraField,
     ConnectionForm,
@@ -219,7 +212,7 @@ def pure_gauge_connection(grid, group, modes, amplitude, seed) -> ConnectionForm
 # -- right-hand side and stepping ----------------------------------------------
 
 
-def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gamma):
+def aep_rhs(spec: DensitySpec, grid: Grid, group: MatrixGroup, nu, gamma):
     """Right-hand side (nu_dot, gamma_dot) of the reduced system.
 
     nu (sites..., d) and gamma (dim, sites..., d) are coefficient arrays; no
@@ -238,12 +231,12 @@ def aep_rhs(spec: DensitySpec, t: float, grid: Grid, group: MatrixGroup, nu, gam
     """
     gamma_dot = cov_diff_array(grid, group, gamma, nu)
     np.negative(gamma_dot, out=gamma_dot)
-    w = delta_l_delta_gamma_array(spec, t, nu, gamma)
+    w = spec.d_sigma2(gamma)
     if spec.isotropic:
         rho = div_array(w, grid.spacing)
     else:
         rho = cov_div_array(grid, group, gamma, w)
-        rho -= group.ad_star_arr(nu, delta_l_delta_nu_array(spec, t, nu, gamma))
+        rho -= group.ad_star_arr(nu, spec.d_sigma1(nu))
     nu_dot = spec.kinetic_inverse(rho)
     return nu_dot, gamma_dot
 
@@ -263,7 +256,7 @@ def _fold(k, acc, weight):
     return k
 
 
-def _rk4_stages(spec, t, grid, group, nu, gamma, dt):
+def _rk4_stages(spec, grid, group, nu, gamma, dt):
     """One RK4 step (nu_new, gamma_new) plus the two midpoint-stage velocities.
 
     Each stage derivative is folded into one running sum per field once the
@@ -273,16 +266,16 @@ def _rk4_stages(spec, t, grid, group, nu, gamma, dt):
     sums overwrite.
     """
     half = 0.5 * dt
-    acc = aep_rhs(spec, t, grid, group, nu, gamma)
+    acc = aep_rhs(spec, grid, group, nu, gamma)
     nu_a = _stage_input(nu, half, acc[0])
-    k = aep_rhs(spec, t + half, grid, group, nu_a, _stage_input(gamma, half, acc[1]))
+    k = aep_rhs(spec, grid, group, nu_a, _stage_input(gamma, half, acc[1]))
     nu_b, stage = _stage_input(nu, half, k[0]), _stage_input(gamma, half, k[1])
     acc = _fold(k, acc, 2.0)
-    k = aep_rhs(spec, t + half, grid, group, nu_b, stage)
+    k = aep_rhs(spec, grid, group, nu_b, stage)
     # rebinding stage frees the third stage's gamma before the fourth runs
     stage = _stage_input(nu, dt, k[0]), _stage_input(gamma, dt, k[1])
     acc = _fold(k, acc, 2.0)
-    k = aep_rhs(spec, t + dt, grid, group, *stage)
+    k = aep_rhs(spec, grid, group, *stage)
     for kf, a, y in zip(k, acc, (nu, gamma)):
         kf += a
         kf *= dt / 6.0
@@ -344,7 +337,7 @@ def simulate(cfg: SimConfig, visit) -> None:
         # overflow is reported once, as the DivergenceError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             nu_new, gamma_new, nu_a, nu_b = _rk4_stages(
-                spec, n * dt, grid, group, state.nu.values, state.gamma.comps, dt)
+                spec, grid, group, state.nu.values, state.gamma.comps, dt)
             state = ReducedState(
                 _checked(n + 1, "nu", AlgebraField, grid, group, nu_new),
                 _checked(n + 1, "gamma", ConnectionForm, grid, group, gamma_new),
@@ -367,9 +360,9 @@ def simulate(cfg: SimConfig, visit) -> None:
     visit(traj, cfg.steps)
 
 
-def energy(spec: DensitySpec, t: float, s: ReducedState) -> float:
+def energy(spec: DensitySpec, s: ReducedState) -> float:
     """Legendre-form energy <delta l/delta nu, nu> - l."""
-    return l2_pair(delta_l_delta_nu(spec, t, s), s.nu) - reduced_l(spec, t, s)
+    return l2_pair(delta_l_delta_nu(spec, s), s.nu) - reduced_l(spec, s)
 
 
 # -- covariant residual ----------------------------------------------------------
@@ -414,11 +407,9 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     group = traj.group
     s = traj.states[n]
     sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
-    point = (s.t, sigma1, sigma2)
-    m_now, w_now = spec.d_sigma1(*point), spec.d_sigma2(*point)
-    res = _time_difference(traj, n, lambda k: spec.d_sigma1(
-        traj.states[k].t, traj.states[k].nu.values, -traj.states[k].gamma.comps))
-    w_field = DualVectorField(traj.grid, group, np.asarray(w_now, float))
+    m_now, w_now = spec.d_sigma1(sigma1), spec.d_sigma2(sigma2)
+    res = _time_difference(traj, n, lambda k: spec.d_sigma1(traj.states[k].nu.values))
+    w_field = DualVectorField(traj.grid, group, w_now)
     if abar is None:
         res += div_dual(w_field).values
         res += np.sum(group.ad_star_arr(sigma2, w_field.comps), axis=0)
@@ -433,12 +424,12 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
 # -- variational residual ---------------------------------------------------------
 
 
-def _action_term(spec, traj, n, chi_n, chi_next):
-    """dt L(t_n, chi_n, log(chi_next chi_n^-1)/dt, gamma0), one rectangle-rule
-    term of the discrete action, from the matrices of chi at steps n and n+1."""
+def _action_term(spec, traj, chi_n, chi_next):
+    """dt L(chi_n, log(chi_next chi_n^-1)/dt, gamma0), one rectangle-rule term
+    of the discrete action, from the matrices of chi at two successive steps."""
     grid, group, dt = traj.grid, traj.group, traj.dt
     vel = group.log_arr(chi_next @ group.inverse_arr(chi_n)) / dt
-    return dt * instantaneous_L(spec, traj.states[n].t, GroupField(grid, group, chi_n),
+    return dt * instantaneous_L(spec, GroupField(grid, group, chi_n),
                                 AlgebraField(grid, group, vel), traj.gamma0)
 
 
@@ -457,7 +448,7 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
                          seed: int = 0) -> float:
     """Stationarity defect of the discrete action along the group path.
 
-    The discrete action is S = sum_n dt L(t_n, chi_n, log(chi_{n+1}
+    The discrete action is S = sum_n dt L(chi_n, log(chi_{n+1}
     chi_n^-1)/dt, gamma0). Each probe perturbs chi at one random interior
     step, site and basis direction by exp(+-eps zeta) and takes the central
     finite difference of S; only the two action terms touching that step need
@@ -484,8 +475,8 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
         for sign in (1.0, -1.0):
             mat = here.copy()
             mat[site] = group.exp_arr(sign * eps * coeffs) @ mat[site]
-            action.append(_action_term(spec, traj, n - 1, before, mat)
-                          + _action_term(spec, traj, n, mat, after))
+            action.append(_action_term(spec, traj, before, mat)
+                          + _action_term(spec, traj, mat, after))
         ds = (action[0] - action[1]) / (2.0 * eps)
         worst = max(worst, abs(ds))
     return worst / (traj.dt * grid.cell_volume)

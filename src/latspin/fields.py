@@ -19,7 +19,6 @@ from .lattice import (
     DualField,
     DualVectorField,
     GroupField,
-    GridMismatchError,
     _check_same_grid,
     cdiff_array,
     d_array,
@@ -56,8 +55,7 @@ class ReducedState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.nu.grid != self.gamma.grid or self.nu.group is not self.gamma.group:
-            raise GridMismatchError("nu and gamma live on different grids")
+        _check_same_grid(self.nu, self.gamma)
 
     @property
     def grid(self):

@@ -17,7 +17,7 @@ from .lattice import (
     DualField,
     DualVectorField,
     GroupField,
-    GridMismatchError,
+    _check_same_grid,
     integrate,
     right_log_derivative,
 )
@@ -31,8 +31,6 @@ __all__ = [
     "instantaneous_L",
     "delta_l_delta_nu",
     "delta_l_delta_gamma",
-    "delta_l_delta_nu_array",
-    "delta_l_delta_gamma_array",
     "fd_gradient_oracle",
     "reduction_identity_gap",
 ]
@@ -52,7 +50,7 @@ def _weight(name, w):
 class DensitySpec:
     """The quadratic sigma-model density with inertia I and stiffness K,
 
-        value(t, sigma1, sigma2) = (<sigma1, sigma1 I> - sum_i <sigma2_i, sigma2_i K>) / 2,
+        value(sigma1, sigma2) = (<sigma1, sigma1 I> - sum_i <sigma2_i, sigma2_i K>) / 2,
 
     with I and K positive scalars or length-3 diagonals in the algebra basis.
     sigma1 has shape (sites..., d) and sigma2 (dim, sites..., d); d_sigma1 and
@@ -74,15 +72,15 @@ class DensitySpec:
     def isotropic(self) -> bool:
         return isinstance(self.inertia, float) and isinstance(self.stiffness, float)
 
-    def value(self, t, s1, s2):
+    def value(self, s1, s2):
         kin = np.einsum("...a,...a->...", s1, s1 * self.inertia)
         pot = np.einsum("i...a,i...a->...", s2, s2 * self.stiffness)
         return 0.5 * (kin - pot)
 
-    def d_sigma1(self, t, s1, s2):
+    def d_sigma1(self, s1):
         return s1 * self.inertia
 
-    def d_sigma2(self, t, s1, s2):
+    def d_sigma2(self, s2):
         return s2 * -self.stiffness
 
     def kinetic_inverse(self, rho):
@@ -112,56 +110,45 @@ def get_spec(name: str) -> DensitySpec:
 # -- functionals ---------------------------------------------------------------
 
 
-def reduced_l(spec: DensitySpec, t: float, s: ReducedState) -> float:
-    """Reduced Lagrangian: quadrature of value(t, nu, -gamma)."""
-    density = spec.value(t, s.nu.values, -s.gamma.comps)
+def reduced_l(spec: DensitySpec, s: ReducedState) -> float:
+    """Reduced Lagrangian: quadrature of value(nu, -gamma)."""
+    density = spec.value(s.nu.values, -s.gamma.comps)
     return integrate(s.grid, density)
 
 
-def instantaneous_L(spec: DensitySpec, t: float, chi: GroupField,
+def instantaneous_L(spec: DensitySpec, chi: GroupField,
                     nu_prime: AlgebraField, gamma: ConnectionForm) -> float:
     """Instantaneous Lagrangian on group-field tangent data and a connection.
 
     Tangent vectors are exchanged in right-trivialized form nu' = (d chi/dt)
-    chi^-1. The value is the quadrature of value(t, nu', beta) with
+    chi^-1. The value is the quadrature of value(nu', beta) with
 
         beta_i = (D_i chi) chi^-1 - Ad(chi) gamma_i,
 
     which is the G-invariant density evaluated on (chi_dot, D chi - chi gamma)
     translated to the identity. It coincides with the reduced Lagrangian at
-    the advected connection: L(t, chi, nu', gamma) = l(t, nu', theta_{chi^-1}
-    gamma), exactly on the lattice.
+    the advected connection: L(chi, nu', gamma) = l(nu', theta_{chi^-1} gamma),
+    exactly on the lattice.
     """
-    if chi.grid != gamma.grid or chi.grid != nu_prime.grid:
-        raise GridMismatchError("chi, nu' and gamma live on different grids")
+    _check_same_grid(chi, gamma)
+    _check_same_grid(chi, nu_prime)
     group = chi.group
     beta = right_log_derivative(chi).comps.copy()
     for i in range(gamma.grid.dim):
         beta[i] -= group.ad_arr(chi.values, gamma.comps[i])
-    density = spec.value(t, nu_prime.values, beta)
+    density = spec.value(nu_prime.values, beta)
     return integrate(chi.grid, density)
 
 
-def delta_l_delta_nu_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
-    """delta_l_delta_nu on coefficient arrays nu (sites..., d), gamma (dim, sites..., d)."""
-    return spec.d_sigma1(t, nu, gamma)
-
-
-def delta_l_delta_gamma_array(spec: DensitySpec, t: float, nu, gamma) -> np.ndarray:
-    """delta_l_delta_gamma on coefficient arrays: -d_sigma2(-gamma) = d_sigma2(gamma) (linear)."""
-    return spec.d_sigma2(t, nu, gamma)
-
-
-def delta_l_delta_nu(spec: DensitySpec, t: float, s: ReducedState) -> DualField:
+def delta_l_delta_nu(spec: DensitySpec, s: ReducedState) -> DualField:
     """Functional derivative of the reduced Lagrangian in nu (a dual density)."""
-    values = delta_l_delta_nu_array(spec, t, s.nu.values, s.gamma.comps)
-    return DualField(s.grid, s.group, values)
+    return DualField(s.grid, s.group, spec.d_sigma1(s.nu.values))
 
 
-def delta_l_delta_gamma(spec: DensitySpec, t: float, s: ReducedState) -> DualVectorField:
-    """Functional derivative of the reduced Lagrangian in gamma (per axis)."""
-    comps = delta_l_delta_gamma_array(spec, t, s.nu.values, s.gamma.comps)
-    return DualVectorField(s.grid, s.group, comps)
+def delta_l_delta_gamma(spec: DensitySpec, s: ReducedState) -> DualVectorField:
+    """Functional derivative of the reduced Lagrangian in gamma (per axis):
+    -d_sigma2(-gamma) = d_sigma2(gamma), as d_sigma2 is linear."""
+    return DualVectorField(s.grid, s.group, spec.d_sigma2(s.gamma.comps))
 
 
 def fd_gradient_oracle(functional, x, eps: float):
@@ -196,9 +183,9 @@ def fd_gradient_oracle(functional, x, eps: float):
     return out_cls(x.grid, x.group, grad.reshape(arr.shape))
 
 
-def reduction_identity_gap(spec, t, chi, nu_prime, gamma) -> float:
-    """Relative gap between L(t, chi, nu', gamma) and l(t, nu', theta_{chi^-1} gamma)."""
-    left = instantaneous_L(spec, t, chi, nu_prime, gamma)
+def reduction_identity_gap(spec, chi, nu_prime, gamma) -> float:
+    """Relative gap between L(chi, nu', gamma) and l(nu', theta_{chi^-1} gamma)."""
+    left = instantaneous_L(spec, chi, nu_prime, gamma)
     advected = gauge_act(chi.inverse(), gamma)
-    right = reduced_l(spec, t, ReducedState(nu_prime, advected, t))
+    right = reduced_l(spec, ReducedState(nu_prime, advected))
     return abs(left - right) / max(abs(left), abs(right), 1e-300)

@@ -98,9 +98,9 @@ def ladder_2d():
 
 def _gauge_deviation(spec, chi, lam, nu_p, gamma):
     """Relative change of L under chi -> chi Lambda, gamma -> theta_Lambda(gamma)."""
-    base = lagrangian.instantaneous_L(spec, 0.0, chi, nu_p, gamma)
+    base = lagrangian.instantaneous_L(spec, chi, nu_p, gamma)
     moved = lagrangian.instantaneous_L(
-        spec, 0.0, chi.compose(lam), nu_p, gauge_act(lam, gamma)
+        spec, chi.compose(lam), nu_p, gauge_act(lam, gamma)
     )
     return abs(moved - base) / max(abs(base), abs(moved))
 
@@ -190,18 +190,18 @@ def test_criterion_3_fd_oracle_agreement(g, spec):
     gamma = dynamics.fourier_connection(grid, g, 2, 0.6, 801)
     state = ReducedState(nu, gamma, 0.0)
     oracle_nu = lagrangian.fd_gradient_oracle(
-        lambda f: lagrangian.reduced_l(spec, 0.0, ReducedState(f, gamma, 0.0)),
+        lambda f: lagrangian.reduced_l(spec, ReducedState(f, gamma, 0.0)),
         nu, FD_EPS,
     )
-    analytic_nu = lagrangian.delta_l_delta_nu(spec, 0.0, state)
+    analytic_nu = lagrangian.delta_l_delta_nu(spec, state)
     err_nu = np.max(np.abs(analytic_nu.values - oracle_nu.values)) / max(
         np.max(np.abs(oracle_nu.values)), 1e-30
     )
     oracle_g = lagrangian.fd_gradient_oracle(
-        lambda f: lagrangian.reduced_l(spec, 0.0, ReducedState(nu, f, 0.0)),
+        lambda f: lagrangian.reduced_l(spec, ReducedState(nu, f, 0.0)),
         gamma, FD_EPS,
     )
-    analytic_g = lagrangian.delta_l_delta_gamma(spec, 0.0, state)
+    analytic_g = lagrangian.delta_l_delta_gamma(spec, state)
     err_g = np.max(np.abs(analytic_g.comps - oracle_g.comps)) / max(
         np.max(np.abs(oracle_g.comps)), 1e-30
     )
@@ -234,7 +234,7 @@ def test_criterion_5_covariant_order_and_background(g, spec, ladder_1d):
     for n in range(1, traj.steps):
         r0 = dynamics.covariant_residual(spec, traj, n)
         ra = dynamics.covariant_residual(spec, traj, n, abar)
-        w = lagrangian.delta_l_delta_gamma(spec, traj.states[n].t, traj.states[n])
+        w = lagrangian.delta_l_delta_gamma(spec, traj.states[n])
         scale = max(r0.max_norm(), abar.max_norm() * w.max_norm(), 1.0)
         gap = max(gap, float(np.max(np.abs(ra.values - r0.values))) / scale)
     ok = order >= ORDER_MIN and gap <= ABAR_TOL
@@ -276,8 +276,8 @@ def test_criterion_7_energy_conservation(g, spec):
         dt=1e-3, steps=1000,
     )
     traj = whole_trajectory(cfg)
-    e0 = dynamics.energy(spec, 0.0, traj.states[0])
-    drift = abs(dynamics.energy(spec, 1.0, traj.states[traj.steps]) - e0) / abs(e0)
+    e0 = dynamics.energy(spec, traj.states[0])
+    drift = abs(dynamics.energy(spec, traj.states[traj.steps]) - e0) / abs(e0)
     ok = drift <= ENERGY_TOL
     report(7, "energy conservation over unit time", ok,
            f"relative drift {drift:.3e} (tol {ENERGY_TOL:.1e})")

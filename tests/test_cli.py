@@ -120,6 +120,11 @@ def test_missing_grid_sizes_is_exit_2(tmp_path):
                  id="spacing-subnormal"),
     # dt * k underflows, so the run would freeze instead of stepping
     pytest.param(lambda c: c["time"].update(dt=1e-320), "time.dt", id="dt-subnormal"),
+    # a misspelled key would otherwise leave its row at the default
+    pytest.param(lambda c: c["output"].update(cadance=10), "output.cadance",
+                 id="misspelled-nested-key"),
+    pytest.param(lambda c: c.update(lagrangain="spin_glass"), "lagrangain",
+                 id="misspelled-top-level-key"),
 ])
 def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     cfg = json.loads(json.dumps(REFERENCE_CONFIG))
@@ -128,6 +133,13 @@ def test_invalid_configs_name_offending_key(tmp_path, mutate, key):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and key in lines[0], proc.stderr
+
+
+def test_keys_read_elsewhere_or_unused_by_a_zero_profile_are_accepted():
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg.update(ladder={"sizes": [8, 16, 32]}, output_dir="out")
+    cfg["gamma0"].update(modes=1, amplitude=0.2, seed=3)
+    assert cli.parse_config(cfg).steps == 10
 
 
 def _limit_address_space():
@@ -516,7 +528,7 @@ def test_verify_mutation_hook_fails_fd_match(monkeypatch):
     def flipped_spec():
         spec = real_spec()
         good = spec.d_sigma2
-        spec.d_sigma2 = lambda t, s1, s2: -good(t, s1, s2)
+        spec.d_sigma2 = lambda s2: -good(s2)
         return spec
 
     monkeypatch.setattr(lagrangian, "spin_glass_spec", flipped_spec)

@@ -93,7 +93,7 @@ def plane_wave_exact(g, grid, t, amp=0.4):
 def test_rhs_zero_connection(spec, g, grid32):
     nu = fourier_algebra_field(grid32, g, 2, 0.7, 1)
     s = ReducedState(nu, ConnectionForm.zeros(grid32, g), 0.0)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
+    nu_dot, gamma_dot = aep_rhs(spec, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(nu_dot)) <= 1e-13
     assert np.allclose(gamma_dot, -d_alg(nu).comps, atol=1e-14)
 
@@ -101,7 +101,7 @@ def test_rhs_zero_connection(spec, g, grid32):
 def test_rhs_zero_velocity(spec, g, grid32):
     gamma = fourier_connection(grid32, g, 2, 0.7, 2)
     s = ReducedState(AlgebraField.zeros(grid32, g), gamma, 0.0)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
+    nu_dot, gamma_dot = aep_rhs(spec, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(gamma_dot)) == 0.0
     # for the quadratic density nu_dot = -sharp(div flat(gamma))
     from latspin.lattice import DualVectorField, div_dual
@@ -112,7 +112,7 @@ def test_rhs_zero_velocity(spec, g, grid32):
 
 def test_rhs_plane_wave_matches_linear_oracle(spec, g, grid32):
     s = plane_wave_state(g, grid32)
-    nu_dot, gamma_dot = aep_rhs(spec, 0.0, s.grid, s.group, s.nu.values, s.gamma.comps)
+    nu_dot, gamma_dot = aep_rhs(spec, s.grid, s.group, s.nu.values, s.gamma.comps)
     x = grid32.coordinates()[0]
     h = grid32.spacing[0]
     sym = np.sin(2 * np.pi * h) / h
@@ -121,10 +121,10 @@ def test_rhs_plane_wave_matches_linear_oracle(spec, g, grid32):
     assert np.allclose(gamma_dot[0, :, 0], want, atol=1e-13)
 
 
-def container_rhs(spec, t, s):
+def container_rhs(spec, s):
     """The right-hand side written with the field containers, as the oracle."""
-    m = delta_l_delta_nu(spec, t, s)
-    rho = cov_div(s.gamma, delta_l_delta_gamma(spec, t, s))
+    m = delta_l_delta_nu(spec, s)
+    rho = cov_div(s.gamma, delta_l_delta_gamma(spec, s))
     rho.values -= s.group.ad_star_arr(s.nu.values, m.values)
     nu_dot = spec.kinetic_inverse(rho.values)
     return nu_dot, -cov_diff(s.gamma, s.nu).comps
@@ -144,8 +144,8 @@ def test_array_rhs_matches_the_container_formula_bit_for_bit(g, sizes, generic, 
     gamma[:, 3], gamma[:, 4] = 0.0, -0.0
     gamma[:, 2], nu[4] = -0.0, 0.0
     s = ReducedState(AlgebraField(grid, group, nu), ConnectionForm(grid, group, gamma), 0.25)
-    got = aep_rhs(spec, 0.25, grid, group, nu, gamma)
-    for have, want in zip(got, container_rhs(spec, 0.25, s)):
+    got = aep_rhs(spec, grid, group, nu, gamma)
+    for have, want in zip(got, container_rhs(spec, s)):
         assert np.array_equal(have, want)
         assert np.array_equal(np.signbit(have), np.signbit(want))
 
@@ -173,7 +173,7 @@ def test_registered_spin_glass_skips_the_ad_star_terms(g, grid32, monkeypatch):
     monkeypatch.setattr(g, "ad_star_arr", lambda *args: calls.append(args))
     nu = fourier_algebra_field(grid32, g, 2, 0.7, 5).values
     gamma = fourier_connection(grid32, g, 2, 0.6, 6).comps
-    aep_rhs(get_spec("spin_glass"), 0.0, grid32, g, nu, gamma)
+    aep_rhs(get_spec("spin_glass"), grid32, g, nu, gamma)
     assert calls == []
 
 
@@ -187,8 +187,8 @@ def test_skip_keeps_finite_what_overflows_in_the_full_formula(g, grid32):
     gamma = fourier_connection(grid32, g, 2, 0.6, 6)
     nu.values[3] = 1e155
     with np.errstate(over="ignore", invalid="ignore"):
-        got = aep_rhs(spec, 0.0, grid32, g, nu.values, gamma.comps)
-        full = container_rhs(spec, 0.0, ReducedState(nu, gamma, 0.0))
+        got = aep_rhs(spec, grid32, g, nu.values, gamma.comps)
+        full = container_rhs(spec, ReducedState(nu, gamma, 0.0))
     assert np.all(np.isfinite(got[0]))
     assert np.all(np.isnan(full[0][3])) and np.all(np.isfinite(np.delete(full[0], 3, 0)))
     assert np.array_equal(got[1], full[1])
@@ -203,8 +203,8 @@ def test_skipped_ad_star_terms_vanish_for_a_scaled_isotropic_density(g, generic)
     grid = Grid((16, 12), (1.0 / 16, 1.0 / 12))
     nu = fourier_algebra_field(grid, group, 2, 0.7, 5)
     gamma = fourier_connection(grid, group, 2, 0.6, 6)
-    got = aep_rhs(spec, 0.0, grid, group, nu.values, gamma.comps)
-    want = container_rhs(spec, 0.0, ReducedState(nu, gamma, 0.0))
+    got = aep_rhs(spec, grid, group, nu.values, gamma.comps)
+    want = container_rhs(spec, ReducedState(nu, gamma, 0.0))
     for have, full in zip(got, want):
         assert np.allclose(have, full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
 
@@ -212,11 +212,11 @@ def test_skipped_ad_star_terms_vanish_for_a_scaled_isotropic_density(g, generic)
 # -- RK4 -------------------------------------------------------------------------
 
 
-def rk4_step(spec, t, s, dt):
+def rk4_step(spec, s, dt):
     """One step of simulate's RK4 integrator on a ReducedState."""
-    nu, gamma, _, _ = _rk4_stages(spec, t, s.grid, s.group, s.nu.values, s.gamma.comps, dt)
+    nu, gamma, _, _ = _rk4_stages(spec, s.grid, s.group, s.nu.values, s.gamma.comps, dt)
     return ReducedState(AlgebraField(s.grid, s.group, nu),
-                        ConnectionForm(s.grid, s.group, gamma), t + dt)
+                        ConnectionForm(s.grid, s.group, gamma), s.t + dt)
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 12)])
@@ -227,21 +227,21 @@ def test_rk4_step_matches_the_textbook_formula_bit_for_bit(g, sizes, density):
     nu = fourier_algebra_field(grid, g, 2, 0.7, 7).values
     gamma = fourier_connection(grid, g, 2, 0.6, 8).comps
     nu[1], gamma[:, 2] = 0.0, -0.0
-    t, dt = 0.3, 0.01
+    dt = 0.01
 
-    def f(tt, y):
-        return aep_rhs(spec, tt, grid, g, *y)
+    def f(y):
+        return aep_rhs(spec, grid, g, *y)
 
     y = (nu, gamma)
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, [a + 0.5 * dt * k for a, k in zip(y, k1)])
-    k3 = f(t + 0.5 * dt, [a + 0.5 * dt * k for a, k in zip(y, k2)])
-    k4 = f(t + dt, [a + dt * k for a, k in zip(y, k3)])
+    k1 = f(y)
+    k2 = f([a + 0.5 * dt * k for a, k in zip(y, k1)])
+    k3 = f([a + 0.5 * dt * k for a, k in zip(y, k2)])
+    k4 = f([a + dt * k for a, k in zip(y, k3)])
     want = [a + dt / 6.0 * (p + 2 * q + 2 * r + w)
             for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
     # the two midpoint-stage velocities that drive the group reconstruction
     want += [nu + 0.5 * dt * k1[0], nu + 0.5 * dt * k2[0]]
-    out = _rk4_stages(spec, t, grid, g, nu, gamma, dt)
+    out = _rk4_stages(spec, grid, g, nu, gamma, dt)
     assert len(out) == len(want)
     for have, expect in zip(out, want):
         assert np.array_equal(have, expect)
@@ -262,7 +262,7 @@ def test_a_non_finite_midpoint_velocity_makes_the_new_gamma_non_finite(g, sizes,
             nu = rng.normal(size=sizes + (3,)) * scale
             gamma = rng.normal(size=(len(sizes),) + sizes + (3,)) * scale
             with np.errstate(all="ignore"):
-                _, gamma_new, nu_a, nu_b = _rk4_stages(spec, 0.0, grid, g, nu, gamma, dt)
+                _, gamma_new, nu_a, nu_b = _rk4_stages(spec, grid, g, nu, gamma, dt)
             if not (np.isfinite(nu_a).all() and np.isfinite(nu_b).all()):
                 overflowed += 1
                 assert not np.isfinite(gamma_new).all()
@@ -271,7 +271,7 @@ def test_a_non_finite_midpoint_velocity_makes_the_new_gamma_non_finite(g, sizes,
 
 def test_rk4_zero_state_fixed_point(spec, g, grid32):
     s = ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g), 0.0)
-    out = rk4_step(spec, 0.0, s, 0.01)
+    out = rk4_step(spec, s, 0.01)
     assert np.max(np.abs(out.nu.values)) == 0.0
     assert np.max(np.abs(out.gamma.comps)) == 0.0
     assert out.t == pytest.approx(0.01)
@@ -280,7 +280,7 @@ def test_rk4_zero_state_fixed_point(spec, g, grid32):
 def test_rk4_constant_velocity_stays_constant(spec, g, grid32):
     nu = AlgebraField(grid32, g, np.tile([0.4, -0.2, 0.1], (32, 1)))
     s = ReducedState(nu, ConnectionForm.zeros(grid32, g), 0.0)
-    out = rk4_step(spec, 0.0, s, 0.01)
+    out = rk4_step(spec, s, 0.01)
     assert np.allclose(out.nu.values, nu.values, atol=1e-14)
     assert np.max(np.abs(out.gamma.comps)) <= 1e-14
 
@@ -291,7 +291,7 @@ def test_rk4_fourth_order_against_plane_wave(spec, g, grid32):
         s = plane_wave_state(g, grid32)
         t = 0.0
         while t < 0.2 - 1e-12:
-            s = rk4_step(spec, t, s, dt)
+            s = rk4_step(spec, s, dt)
             t += dt
         exact = plane_wave_exact(g, grid32, t)
         errs.append(
@@ -306,7 +306,7 @@ def test_rk4_fourth_order_against_plane_wave(spec, g, grid32):
 def test_one_rk4_step_matches_semidiscrete_oracle(spec, g, grid32):
     dt = 0.01
     s = plane_wave_state(g, grid32)
-    out = rk4_step(spec, 0.0, s, dt)
+    out = rk4_step(spec, s, dt)
     exact = plane_wave_exact(g, grid32, dt)
     err = max(
         np.max(np.abs(out.nu.values - exact.nu.values)),
@@ -341,8 +341,8 @@ def test_simulate_equilibrium_stays_zero(spec, g, grid32):
 def test_simulate_energy_conservation(spec, g, grid32):
     cfg = make_cfg(g, grid32, 4, dt=1e-3, steps=1000, nu_amp=0.5, gamma_amp=0.3)
     traj = whole_trajectory(cfg)
-    e0 = energy(spec, 0.0, traj.states[0])
-    drift = abs(energy(spec, 1.0, traj.states[traj.steps]) - e0) / abs(e0)
+    e0 = energy(spec, traj.states[0])
+    drift = abs(energy(spec, traj.states[traj.steps]) - e0) / abs(e0)
     assert drift <= ENERGY_DRIFT_TOL
 
 
@@ -452,12 +452,12 @@ def test_energy_quadratic_expansion(spec, g, grid32):
         np.einsum("...a,...a->...", s.nu.values, s.nu.values)
         + np.einsum("i...a,i...a->...", s.gamma.comps, s.gamma.comps),
     )
-    assert energy(spec, 0.0, s) == pytest.approx(direct, rel=1e-13)
+    assert energy(spec, s) == pytest.approx(direct, rel=1e-13)
 
 
 def test_energy_zero_state(spec, g, grid32):
     s = ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g), 0.0)
-    assert energy(spec, 0.0, s) == 0.0
+    assert energy(spec, s) == 0.0
 
 
 def test_energy_even_in_velocity(spec, g, grid32):
@@ -467,7 +467,7 @@ def test_energy_even_in_velocity(spec, g, grid32):
         0.0,
     )
     flipped = ReducedState(AlgebraField(grid32, g, -s.nu.values), s.gamma, 0.0)
-    assert energy(spec, 0.0, s) == pytest.approx(energy(spec, 0.0, flipped), rel=1e-14)
+    assert energy(spec, s) == pytest.approx(energy(spec, flipped), rel=1e-14)
 
 
 # -- covariant residual ---------------------------------------------------------------
@@ -612,10 +612,10 @@ def one_sided_reference(spec, traj, n):
     other = traj.states[1 if n == 0 else n - 1]
     sign = 1.0 if n == 0 else -1.0
     s = traj.states[n]
-    m = delta_l_delta_nu(spec, s.t, s).values
-    dm = sign * (delta_l_delta_nu(spec, other.t, other).values - m) / traj.dt
+    m = delta_l_delta_nu(spec, s).values
+    dm = sign * (delta_l_delta_nu(spec, other).values - m) / traj.dt
     dgamma = sign * (other.gamma.comps - s.gamma.comps) / traj.dt
-    w = delta_l_delta_gamma(spec, s.t, s)
+    w = delta_l_delta_gamma(spec, s)
     res = dm - cov_div(s.gamma, w).values + s.group.ad_star_arr(s.nu.values, m)
     closed = advect_exact(traj.group_path[n], traj.gamma0)
 

@@ -12,9 +12,7 @@ from latspin.lagrangian import (
     DensitySpec,
     available_specs,
     delta_l_delta_gamma,
-    delta_l_delta_gamma_array,
     delta_l_delta_nu,
-    delta_l_delta_nu_array,
     fd_gradient_oracle,
     get_spec,
     instantaneous_L,
@@ -26,12 +24,14 @@ from latspin.lattice import (
     AlgebraField,
     ConnectionForm,
     Grid,
+    GridMismatchError,
     GroupField,
     integrate,
     right_log_derivative,
 )
 
 from conftest import anisotropic_spec
+from reference_group import reference_so3
 
 FD_TOL = 1e-6
 FD_EPS = 1e-5
@@ -55,18 +55,18 @@ def random_state(g, grid, seed, nu_amp=0.6, gamma_amp=0.5):
 def test_reduced_l_constant_velocity(spec, g, grid32):
     nu = AlgebraField(grid32, g, np.tile([1.0, 0, 0], (32, 1)))
     s = ReducedState(nu, ConnectionForm.zeros(grid32, g), 0.0)
-    assert reduced_l(spec, 0.0, s) == pytest.approx(0.5, abs=1e-14)
+    assert reduced_l(spec, s) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_reduced_l_constant_connection(spec, g, grid32):
     comps = np.tile([0.6, 0, 0.8], (1, 32, 1))  # |gamma|^2 = 1 at every site
     s = ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm(grid32, g, comps), 0.0)
-    assert reduced_l(spec, 0.0, s) == pytest.approx(-0.5, abs=1e-14)
+    assert reduced_l(spec, s) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_reduced_l_zero_state(spec, g, grid32):
     s = ReducedState(AlgebraField.zeros(grid32, g), ConnectionForm.zeros(grid32, g), 0.0)
-    assert reduced_l(spec, 0.0, s) == 0.0
+    assert reduced_l(spec, s) == 0.0
 
 
 # -- instantaneous Lagrangian -------------------------------------------------------
@@ -74,15 +74,15 @@ def test_reduced_l_zero_state(spec, g, grid32):
 
 def test_instantaneous_at_identity_equals_reduced(spec, g, grid32):
     s = random_state(g, grid32, 1)
-    val = instantaneous_L(spec, 0.0, GroupField.identity(grid32, g), s.nu, s.gamma)
-    assert val == pytest.approx(reduced_l(spec, 0.0, s), rel=1e-13)
+    val = instantaneous_L(spec, GroupField.identity(grid32, g), s.nu, s.gamma)
+    assert val == pytest.approx(reduced_l(spec, s), rel=1e-13)
 
 
 def test_instantaneous_direct_assembly(spec, g, grid32):
     # gamma = 0: the value must match (|nu'|^2 - |(D chi) chi^-1|^2)/2 assembled by hand
     chi = group_field_from_profile(grid32, g, 2, 0.7, 2)
     nu_p = fourier_algebra_field(grid32, g, 2, 0.5, 3)
-    val = instantaneous_L(spec, 0.0, chi, nu_p, ConnectionForm.zeros(grid32, g))
+    val = instantaneous_L(spec, chi, nu_p, ConnectionForm.zeros(grid32, g))
     rld = right_log_derivative(chi).comps
     density = 0.5 * (
         np.einsum("...a,...a->...", nu_p.values, nu_p.values)
@@ -91,13 +91,24 @@ def test_instantaneous_direct_assembly(spec, g, grid32):
     assert val == pytest.approx(integrate(grid32, density), rel=1e-13)
 
 
+@pytest.mark.parametrize("operand", ["nu_prime", "gamma"])
+@pytest.mark.parametrize("other", ["spacing", "group"])
+def test_instantaneous_L_rejects_operands_on_another_grid_or_group(spec, g, operand, other):
+    grid = Grid((8,), (1.0 / 32,))
+    home = (Grid((8,), (1.0 / 8,)), g) if other == "spacing" else (grid, reference_so3())
+    args = {"nu_prime": AlgebraField.zeros(grid, g), "gamma": ConnectionForm.zeros(grid, g)}
+    args[operand] = type(args[operand]).zeros(*home)
+    with pytest.raises(GridMismatchError):
+        instantaneous_L(spec, GroupField.identity(grid, g), **args)
+
+
 def test_reduction_identity_exact(spec, g):
     for grid in (Grid((32,), (1 / 32,)), Grid((16, 16), (1 / 16, 1 / 16))):
         for k in range(5):
             chi = group_field_from_profile(grid, g, 2, 0.6, 40 + k)
             nu_p = fourier_algebra_field(grid, g, 2, 0.6, 50 + k)
             gamma = fourier_connection(grid, g, 2, 0.6, 60 + k)
-            assert reduction_identity_gap(spec, 0.0, chi, nu_p, gamma) <= IDENTITY_TOL
+            assert reduction_identity_gap(spec, chi, nu_p, gamma) <= IDENTITY_TOL
 
 
 def test_gauge_invariance_defect_is_second_order(spec, g):
@@ -111,8 +122,8 @@ def test_gauge_invariance_defect_is_second_order(spec, g):
         lam = group_field_from_profile(grid, g, 2, 0.5, 5)
         nu_p = fourier_algebra_field(grid, g, 2, 0.6, 6)
         gamma = fourier_connection(grid, g, 2, 0.6, 7)
-        a = instantaneous_L(spec, 0.0, chi, nu_p, gamma)
-        b = instantaneous_L(spec, 0.0, chi.compose(lam), nu_p, gauge_act(lam, gamma))
+        a = instantaneous_L(spec, chi, nu_p, gamma)
+        b = instantaneous_L(spec, chi.compose(lam), nu_p, gauge_act(lam, gamma))
         devs.append(abs(a - b) / abs(a))
     orders = np.log2(np.array(devs[:-1]) / devs[1:])
     assert np.all(orders > 1.7)
@@ -125,8 +136,8 @@ def test_gauge_invariance_exact_for_constant_gauge(spec, g, grid32):
     gamma = fourier_connection(grid32, g, 2, 0.6, 10)
     const = g.exp_arr(np.array([0.7, -0.2, 0.4]))
     lam = GroupField(grid32, g, np.tile(const, (32, 1, 1)))
-    a = instantaneous_L(spec, 0.0, chi, nu_p, gamma)
-    b = instantaneous_L(spec, 0.0, chi.compose(lam), nu_p, gauge_act(lam, gamma))
+    a = instantaneous_L(spec, chi, nu_p, gamma)
+    b = instantaneous_L(spec, chi.compose(lam), nu_p, gauge_act(lam, gamma))
     assert abs(a - b) / abs(a) <= 1e-12
 
 
@@ -135,7 +146,7 @@ def test_gauge_invariance_exact_for_constant_gauge(spec, g, grid32):
 
 def test_delta_nu_is_flat_nu(spec, g, grid32):
     s = random_state(g, grid32, 11)
-    out = delta_l_delta_nu(spec, 0.0, s)
+    out = delta_l_delta_nu(spec, s)
     assert np.array_equal(out.values, s.nu.values)
 
 
@@ -143,14 +154,14 @@ def test_delta_nu_zero(spec, g, grid32):
     s = ReducedState(
         AlgebraField.zeros(grid32, g), fourier_connection(grid32, g, 2, 0.5, 12), 0.0
     )
-    assert np.max(np.abs(delta_l_delta_nu(spec, 0.0, s).values)) == 0.0
+    assert np.max(np.abs(delta_l_delta_nu(spec, s).values)) == 0.0
 
 
 def test_delta_gamma_zero(spec, g, grid32):
     s = ReducedState(
         fourier_algebra_field(grid32, g, 2, 0.5, 13), ConnectionForm.zeros(grid32, g), 0.0
     )
-    assert np.max(np.abs(delta_l_delta_gamma(spec, 0.0, s).comps)) == 0.0
+    assert np.max(np.abs(delta_l_delta_gamma(spec, s).comps)) == 0.0
 
 
 def test_delta_gamma_linear(spec, g, grid32):
@@ -159,8 +170,8 @@ def test_delta_gamma_linear(spec, g, grid32):
         s1.nu, ConnectionForm(grid32, g, 2.0 * s1.gamma.comps), 0.0
     )
     assert np.allclose(
-        delta_l_delta_gamma(spec, 0.0, s2).comps,
-        2.0 * delta_l_delta_gamma(spec, 0.0, s1).comps,
+        delta_l_delta_gamma(spec, s2).comps,
+        2.0 * delta_l_delta_gamma(spec, s1).comps,
         atol=1e-14,
     )
 
@@ -168,9 +179,9 @@ def test_delta_gamma_linear(spec, g, grid32):
 def test_fd_oracle_pins_delta_nu_sign(spec, g, grid32):
     s = random_state(g, grid32, 15)
     oracle = fd_gradient_oracle(
-        lambda f: reduced_l(spec, 0.0, ReducedState(f, s.gamma, 0.0)), s.nu, FD_EPS
+        lambda f: reduced_l(spec, ReducedState(f, s.gamma, 0.0)), s.nu, FD_EPS
     )
-    analytic = delta_l_delta_nu(spec, 0.0, s)
+    analytic = delta_l_delta_nu(spec, s)
     scale = max(np.max(np.abs(oracle.values)), 1e-30)
     assert np.max(np.abs(analytic.values - oracle.values)) / scale <= FD_TOL
 
@@ -180,9 +191,9 @@ def test_fd_oracle_pins_delta_gamma_sign(spec, g, grid32):
     # -flat(gamma) per axis and the analytic derivative must match it
     s = random_state(g, grid32, 16)
     oracle = fd_gradient_oracle(
-        lambda f: reduced_l(spec, 0.0, ReducedState(s.nu, f, 0.0)), s.gamma, FD_EPS
+        lambda f: reduced_l(spec, ReducedState(s.nu, f, 0.0)), s.gamma, FD_EPS
     )
-    analytic = delta_l_delta_gamma(spec, 0.0, s)
+    analytic = delta_l_delta_gamma(spec, s)
     scale = max(np.max(np.abs(oracle.comps)), 1e-30)
     assert np.max(np.abs(analytic.comps - oracle.comps)) / scale <= FD_TOL
     assert np.allclose(oracle.comps, -s.gamma.comps, atol=1e-9)
@@ -272,14 +283,15 @@ def test_spin_glass_equals_the_unit_closed_forms_bit_for_bit(g, grid2d16):
     s2[:, 3], s2[:, 4] = 0.0, -0.0
     s2[:, 2], s1[4] = -0.0, 0.0
     spec = get_spec("spin_glass")
+    s = ReducedState(AlgebraField(grid2d16, g, s1), ConnectionForm(grid2d16, g, s2))
     rho = s1.copy()
     pairs = [
-        (spec.value(0.0, s1, s2), 0.5 * (np.einsum("...a,...a->...", s1, s1)
-                                         - np.einsum("i...a,i...a->...", s2, s2))),
-        (spec.d_sigma1(0.0, s1, s2), s1),
-        (spec.d_sigma2(0.0, s1, s2), -s2),
-        (delta_l_delta_nu_array(spec, 0.0, s1, s2), s1),
-        (delta_l_delta_gamma_array(spec, 0.0, s1, s2), -s2),
+        (spec.value(s1, s2), 0.5 * (np.einsum("...a,...a->...", s1, s1)
+                                    - np.einsum("i...a,i...a->...", s2, s2))),
+        (spec.d_sigma1(s1), s1),
+        (spec.d_sigma2(s2), -s2),
+        (delta_l_delta_nu(spec, s).values, s1),
+        (delta_l_delta_gamma(spec, s).comps, -s2),
         (spec.kinetic_inverse(rho), s1),
     ]
     for have, want in pairs:
@@ -297,18 +309,18 @@ def fd_derivative_error(spec, dim, seed=0, eps=1e-6):
     component a at every site differences all the sites at once."""
     rng = np.random.default_rng(seed)
     s1, s2 = rng.normal(size=(5, 3)), rng.normal(size=(dim, 5, 3))
-    g1, g2 = spec.d_sigma1(0.0, s1, s2), spec.d_sigma2(0.0, s1, s2)
+    g1, g2 = spec.d_sigma1(s1), spec.d_sigma2(s2)
     fd1, fd2 = np.empty_like(s1), np.empty_like(s2)
     for a in range(3):
         bump = np.zeros_like(s1)
         bump[:, a] = eps
-        fd1[:, a] = (spec.value(0.0, s1 + bump, s2)
-                     - spec.value(0.0, s1 - bump, s2)) / (2 * eps)
+        fd1[:, a] = (spec.value(s1 + bump, s2)
+                     - spec.value(s1 - bump, s2)) / (2 * eps)
         for i in range(dim):
             bump = np.zeros_like(s2)
             bump[i, :, a] = eps
-            fd2[i, :, a] = (spec.value(0.0, s1, s2 + bump)
-                            - spec.value(0.0, s1, s2 - bump)) / (2 * eps)
+            fd2[i, :, a] = (spec.value(s1, s2 + bump)
+                            - spec.value(s1, s2 - bump)) / (2 * eps)
     scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)), 1.0)
     return max(np.max(np.abs(fd1 - g1)), np.max(np.abs(fd2 - g2))) / scale
 
@@ -322,5 +334,5 @@ def test_declared_derivatives_match_central_differences(density, dim):
 def test_central_differences_catch_a_flipped_d_sigma2():
     spec = spin_glass_spec()
     good = spec.d_sigma2
-    spec.d_sigma2 = lambda t, s1, s2: -good(t, s1, s2)
+    spec.d_sigma2 = lambda s2: -good(s2)
     assert fd_derivative_error(spec, dim=1) > FD_TOL

@@ -68,6 +68,12 @@ def test_every_span_resolves_and_uninstall_restores(tmp_path):
     # steps 0, 2 and 3 are written: two snapshots and one curvature each
     assert counts["lattice.snapshot.calls"] == 6
     assert counts["fields.curvature.calls"] == 3
+    # one l_value and one energy per row; the RK4 stages read the density's
+    # own derivatives, so the container derivatives serve energy alone
+    assert counts["dynamics.energy.calls"] == 3
+    assert counts["lagrangian.reduced_l.calls"] == 6
+    assert counts["lagrangian.delta_l_delta_nu.calls"] == 3
+    assert counts["lagrangian.delta_l_delta_gamma.calls"] == 0
     after = bindings(tracer_module)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
