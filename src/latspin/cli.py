@@ -169,7 +169,7 @@ def _profile_cfg(cfg, key):
 def parse_config(cfg: dict) -> dynamics.SimConfig:
     """Validate a config document and expand profiles into concrete fields."""
     _check_known(cfg)
-    grid = Grid(read(cfg, "grid.sizes"), read(cfg, "grid.spacing"))
+    sizes, spacing = read(cfg, "grid.sizes"), read(cfg, "grid.spacing")
     group = group_by_name(read(cfg, "group"))
     spec = lagrangian.get_spec(read(cfg, "lagrangian"))
     nu_cfg = _profile_cfg(cfg, "init.nu")
@@ -180,8 +180,12 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
     # An overflow here ends in a non-finite field or bound that is rejected
     # below, so the exit-2 line is the only report of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        nu0 = _profile_field(grid, group, "init.nu", nu_cfg, _make_nu)
-        gamma0 = _profile_field(grid, group, "gamma0", gamma_cfg, _make_gamma)
+        try:
+            grid = Grid(sizes, spacing)
+            nu0 = _profile_field(grid, group, "init.nu", nu_cfg, _make_nu)
+            gamma0 = _profile_field(grid, group, "gamma0", gamma_cfg, _make_gamma)
+        except MemoryError:
+            raise ConfigError("grid.sizes", "too many sites to allocate the fields") from None
         try:
             return dynamics.SimConfig(grid, group, spec, nu0, gamma0, dt, steps, cadence)
         except ValueError as exc:
@@ -193,7 +197,7 @@ def _profile_field(grid, group, key, cfg, make):
 
     Otherwise the ConfigError names the key at fault: the amplitude when the
     same profile is finite at unit amplitude, else the grid spacing, whose
-    coordinates then overflow; grid.sizes when the field cannot be allocated.
+    coordinates then overflow.
     """
     def finite(profile_cfg):
         try:
@@ -211,8 +215,6 @@ def _profile_field(grid, group, key, cfg, make):
         raise ConfigError(f"{key}.modes", str(exc)) from None
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from None
-    except MemoryError:
-        raise ConfigError("grid.sizes", "too many sites to allocate the fields") from None
     if unit_ok:
         raise ConfigError(f"{key}.amplitude", "the profile overflows (non-finite "
                           "values or norm)")

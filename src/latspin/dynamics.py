@@ -142,59 +142,45 @@ def _fourier_mode_table(dim: int, modes: int):
     """Deterministic list of non-zero wave vectors in the positive half-space."""
     if dim == 1:
         return [(k,) for k in range(1, modes + 1)]
-    table = []
-    for kx in range(-modes, modes + 1):
-        for ky in range(-modes, modes + 1):
-            if (kx, ky) == (0, 0):
-                continue
-            if kx > 0 or (kx == 0 and ky > 0):
-                table.append((kx, ky))
-    return table
-
-
-def _fourier_scalar(grid: Grid, modes: int, amplitude: float, rng) -> np.ndarray:
-    """Band-limited random scalar field, resolution independent for fixed draws."""
-    table = _fourier_mode_table(grid.dim, modes)
-    coords = grid.coordinates()
-    out = np.zeros(grid.sizes)
-    scale = amplitude / np.sqrt(len(table))
-    for kvec in table:
-        a, b = rng.normal(size=2)
-        phase = np.zeros(grid.sizes)
-        for axis, k in enumerate(kvec):
-            phase = phase + 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
-        out += scale * (a * np.cos(phase) + b * np.sin(phase))
-    return out
+    return [(kx, ky) for kx in range(modes + 1) for ky in range(-modes, modes + 1)
+            if kx > 0 or ky > 0]
 
 
 class ModesError(ValueError):
     """A profile's mode count lies outside [1, min(N) // 4] for the grid."""
 
 
-def _check_modes(grid: Grid, modes: int):
+def _fourier_fields(grid: Grid, modes, amplitude, seed, shape) -> np.ndarray:
+    """Seeded band-limited fields, resolution independent for fixed draws: the
+    C-contiguous array shape[:-1] + grid.sizes + shape[-1:]. The coefficients
+    are one normal draw, in C order of shape and then of the mode table, and
+    each mode's phase, cosine and sine are formed once."""
     limit = min(grid.sizes) // 4
     if modes < 1 or modes > limit:
         raise ModesError(f"modes must lie in [1, {limit}] for this grid")
+    table = _fourier_mode_table(grid.dim, modes)
+    coef = np.random.default_rng(seed).normal(size=shape + (len(table), 2))
+    # the sites go between shape[:-1] and shape[-1]
+    coef = coef.reshape(shape[:-1] + (1,) * grid.dim + shape[-1:] + (len(table), 2))
+    coords = grid.coordinates()
+    out = np.zeros(shape[:-1] + grid.sizes + shape[-1:])
+    scale = amplitude / np.sqrt(len(table))
+    for m, kvec in enumerate(table):
+        phase = sum(2.0 * np.pi * k * x / n for k, x, n in zip(kvec, coords, grid.lengths))
+        cos, sin = np.cos(phase)[..., None], np.sin(phase)[..., None]
+        out += scale * (coef[..., m, 0] * cos + coef[..., m, 1] * sin)
+    return out
 
 
 def fourier_algebra_field(grid, group, modes, amplitude, seed) -> AlgebraField:
     """Seeded band-limited algebra-valued field (same continuum field at any N)."""
-    _check_modes(grid, modes)
-    rng = np.random.default_rng(seed)
-    comps = [_fourier_scalar(grid, modes, amplitude, rng)
-             for _ in range(group.algebra_dim)]
-    return AlgebraField(grid, group, np.stack(comps, axis=-1))
+    return AlgebraField(grid, group, _fourier_fields(
+        grid, modes, amplitude, seed, (group.algebra_dim,)))
 
 
 def fourier_connection(grid, group, modes, amplitude, seed) -> ConnectionForm:
-    _check_modes(grid, modes)
-    rng = np.random.default_rng(seed)
-    comps = np.stack([
-        np.stack([_fourier_scalar(grid, modes, amplitude, rng)
-                  for _ in range(group.algebra_dim)], axis=-1)
-        for _ in range(grid.dim)
-    ])
-    return ConnectionForm(grid, group, comps)
+    return ConnectionForm(grid, group, _fourier_fields(
+        grid, modes, amplitude, seed, (grid.dim, group.algebra_dim)))
 
 
 def group_field_from_profile(grid, group, modes, amplitude, seed) -> GroupField:

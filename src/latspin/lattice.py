@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 MIN_SITES_PER_AXIS = 4
+# numpy raises ValueError, not MemoryError, for an array past 2**63 - 1 bytes.
+# Below this many sites 32 float64 per site fit (a command's largest array holds
+# 18), so Grid raises MemoryError beyond it, and an allocation does below it.
+MAX_SITES = np.iinfo(np.intp).max // 256
 
 
 class GridMismatchError(ValueError):
@@ -76,6 +80,8 @@ class Grid:
             raise ValueError(f"each axis needs at least {MIN_SITES_PER_AXIS} sites")
         if not all(0 < h < math.inf for h in spacing):
             raise ValueError("grid spacing must be positive and finite")
+        if math.prod(sizes) > MAX_SITES:
+            raise MemoryError(f"{math.prod(sizes)} sites lie beyond numpy's index range")
 
     @property
     def dim(self) -> int:
@@ -90,9 +96,9 @@ class Grid:
         return tuple(n * h for n, h in zip(self.sizes, self.spacing))
 
     def coordinates(self):
-        """Meshgrid of site coordinates, one array per axis (ij indexing)."""
+        """Open meshgrid of site coordinates, one array per axis (ij indexing)."""
         axes = [h * np.arange(n) for n, h in zip(self.sizes, self.spacing)]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 def max_row_norm(arr) -> float:

@@ -130,9 +130,11 @@ class MatrixGroup:
         series in one pass; otherwise no quotient is 0/0, and they are the
         whole of a and b. The sum is built as a k + I + b (k @ k), the same
         sums as eye + a k + b (k @ k), in two (..., 3, 3) buffers: k @ k, and
-        k itself, which is overwritten and returned.
+        k itself, which is overwritten and returned. The einsum sums theta^2
+        as (p0 + p2) + p1 over a contiguous last axis, (p0 + p1) + p2 over a
+        strided one: coeffs is read C-contiguous, so any layout gives one result.
         """
-        coeffs = np.asarray(coeffs, float)
+        coeffs = np.ascontiguousarray(coeffs, dtype=float)
         k = self.hat(coeffs)
         theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
         theta = np.sqrt(theta2)

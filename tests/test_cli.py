@@ -142,6 +142,9 @@ def test_keys_read_elsewhere_or_unused_by_a_zero_profile_are_accepted():
     assert cli.parse_config(cfg).steps == 10
 
 
+BEYOND_INDEX_RANGE = 10 ** 20
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -152,17 +155,31 @@ def _limit_address_space():
     pytest.param("simulate", 3000, True, "grid.sizes", id="simulate-step-grid.sizes"),
     pytest.param("convergence", 3000, True, "ladder.sizes", id="convergence-step-ladder.sizes"),
     pytest.param("verify", 100000, False, "--sizes", id="verify---sizes"),
+    # more sites than numpy can index: its ValueError is no MemoryError
+    pytest.param("simulate", BEYOND_INDEX_RANGE, False, "grid.sizes",
+                 id="simulate-beyond-index-range-grid.sizes"),
+    pytest.param("simulate", BEYOND_INDEX_RANGE, True, "grid.sizes",
+                 id="simulate-zero-beyond-index-range-grid.sizes"),
+    pytest.param("convergence", BEYOND_INDEX_RANGE, False, "ladder.sizes",
+                 id="convergence-beyond-index-range-ladder.sizes"),
+    pytest.param("verify", BEYOND_INDEX_RANGE, False, "--sizes",
+                 id="verify-beyond-index-range---sizes"),
 ])
 def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, sites, zero, key):
     # The child runs under a 2 GiB address-space limit. At 1e10 sites one
     # scalar array of the grid (of the last ladder level, or of verify's 2-D
     # grid) takes 75 GiB, so the allocation fails at once on any machine. At
     # 9e6 sites the zero fields fit (about 1.3 GiB), and the arrays of the
-    # first RK4 step do not.
+    # first RK4 step do not. A grid beyond numpy's index range is 1-D with
+    # 1e20 sites, in the first --sizes slot of verify.
+    beyond = sites == BEYOND_INDEX_RANGE
     cfg = json.loads(json.dumps(STREAM_2D))
     if zero:
         cfg["init"], cfg["gamma0"] = {"nu": {"profile": "zero"}}, {"profile": "zero"}
-    if command == "simulate":
+    if command == "simulate" and beyond:
+        cfg["grid"] = {"dim": 1, "sizes": [sites], "spacing": [0.03]}
+        args = [write_config(tmp_path, cfg), str(tmp_path / "out")]
+    elif command == "simulate":
         cfg["grid"] = {"dim": 2, "sizes": [sites] * 2, "spacing": [1.0 / sites] * 2}
         cfg["time"]["steps"] = 1
         args = [write_config(tmp_path, cfg), str(tmp_path / "out")]
@@ -170,6 +187,8 @@ def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, sites, zer
         cfg["grid"] = {"dim": 2, "sizes": [16, 16], "spacing": [1.0 / 16, 1.0 / 16]}
         cfg["ladder"] = {"sizes": [16, 32, sites]}
         args = [write_config(tmp_path, cfg)]
+    elif beyond:
+        args = ["--sizes", str(sites), "4"]
     else:
         args = ["--sizes", "32", str(sites)]
     proc = run_cli([command, *args], preexec_fn=_limit_address_space,

@@ -23,6 +23,7 @@ from latspin.fields import (
     cov_diff,
     cov_div,
     curvature,
+    gauge_act,
 )
 from latspin.lagrangian import (
     DensitySpec,
@@ -85,6 +86,87 @@ def plane_wave_exact(g, grid, t, amp=0.4):
     gam = np.zeros((1,) + grid.sizes + (3,))
     gam[0, ..., 0] = -amp * np.sin(s * t) * np.cos(w * x)
     return ReducedState(AlgebraField(grid, g, nu), ConnectionForm(grid, g, gam), t)
+
+
+# -- seeded profiles ------------------------------------------------------------
+
+
+def reference_mode_table(dim, modes):
+    if dim == 1:
+        return [(k,) for k in range(1, modes + 1)]
+    table = []
+    for kx in range(-modes, modes + 1):
+        for ky in range(-modes, modes + 1):
+            if (kx, ky) == (0, 0):
+                continue
+            if kx > 0 or (kx == 0 and ky > 0):
+                table.append((kx, ky))
+    return table
+
+
+def reference_fourier_scalar(grid, modes, amplitude, rng):
+    # the per-component generator the profiles are pinned to: a dense
+    # meshgrid, and one normal(size=2) draw per mode
+    table = reference_mode_table(grid.dim, modes)
+    axes = [h * np.arange(n) for n, h in zip(grid.sizes, grid.spacing)]
+    coords = np.meshgrid(*axes, indexing="ij")
+    out = np.zeros(grid.sizes)
+    scale = amplitude / np.sqrt(len(table))
+    for kvec in table:
+        a, b = rng.normal(size=2)
+        phase = np.zeros(grid.sizes)
+        for axis, k in enumerate(kvec):
+            phase = phase + 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
+        out += scale * (a * np.cos(phase) + b * np.sin(phase))
+    return out
+
+
+def reference_profiles(grid, g, modes, amplitude, seed):
+    """The four profile builders' arrays, one component after another."""
+    rng = np.random.default_rng(seed)
+    alg = np.stack([reference_fourier_scalar(grid, modes, amplitude, rng)
+                    for _ in range(g.algebra_dim)], axis=-1)
+    rng = np.random.default_rng(seed)
+    conn = np.stack([
+        np.stack([reference_fourier_scalar(grid, modes, amplitude, rng)
+                  for _ in range(g.algebra_dim)], axis=-1)
+        for _ in range(grid.dim)
+    ])
+    mats = g.exp_arr(alg)
+    flat = gauge_act(GroupField(grid, g, mats), ConnectionForm.zeros(grid, g)).comps
+    return alg, conn, mats, flat
+
+
+def _profile_cases():
+    for sizes, mode_counts in (((5,), range(1, 2)), ((32,), range(1, 9)),
+                               ((16, 12), range(1, 4)), ((64, 64), (2, 16))):
+        for modes in mode_counts:
+            for seed in (1, 90210):
+                yield pytest.param(sizes, modes, seed, id=f"{sizes}-{modes}-{seed}")
+
+
+@pytest.mark.parametrize("sizes,modes,seed", _profile_cases())
+def test_profiles_match_the_per_component_generator_bit_for_bit(g, sizes, modes, seed):
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    got = (
+        fourier_algebra_field(grid, g, modes, 0.7, seed).values,
+        fourier_connection(grid, g, modes, 0.7, seed).comps,
+        dynamics.group_field_from_profile(grid, g, modes, 0.7, seed).values,
+        pure_gauge_connection(grid, g, modes, 0.7, seed).comps,
+    )
+    for a, b in zip(got, reference_profiles(grid, g, modes, 0.7, seed)):
+        assert a.flags.c_contiguous
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("sizes", [(5,), (32,), (16, 12)])
+def test_profiles_reject_mode_counts_outside_the_grid_limit(g, sizes):
+    grid = Grid(sizes, tuple(1.0 / n for n in sizes))
+    for modes in (0, min(sizes) // 4 + 1):
+        for build in (fourier_algebra_field, fourier_connection):
+            with pytest.raises(dynamics.ModesError, match=r"\[1, "):
+                build(grid, g, modes, 0.7, 1)
 
 
 # -- right-hand side ------------------------------------------------------------

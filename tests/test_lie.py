@@ -342,6 +342,20 @@ def test_so3_closed_forms_match_generic_path_bit_for_bit(g, xshape, yshape):
     assert_same_bits(g.to_coeffs(g.hat(x)), clone.to_coeffs(clone.hat(x)))
 
 
+@pytest.mark.parametrize("layout", ["transposed", "sliced"])
+def test_exp_arr_gives_the_same_bits_in_any_memory_layout(g, layout):
+    # einsum sums theta^2 over a contiguous last axis as (p0 + p2) + p1 and
+    # over a strided one as (p0 + p1) + p2; exp_arr must not see the difference
+    rr = np.random.default_rng(29)
+    if layout == "transposed":
+        strided = rr.normal(size=(3, 4096)).T
+    else:
+        strided = rr.normal(size=(4096, 6))[:, ::2]
+    strided[::7] = -0.0
+    assert not strided.flags.c_contiguous
+    assert_same_bits(g.exp_arr(strided), g.exp_arr(np.ascontiguousarray(strided)))
+
+
 def test_matrix_group_describes_so3_only():
     with pytest.raises(ValueError, match="SO3 only"):
         MatrixGroup("SU2")
