@@ -29,7 +29,7 @@ from .lattice import (
     l2_pair,
     snapshot,
 )
-from .lie import group_by_name, so3
+from .lie import so3
 
 __all__ = ["ConfigError", "main", "run_simulate", "run_verify", "run_convergence"]
 
@@ -170,7 +170,8 @@ def parse_config(cfg: dict) -> dynamics.SimConfig:
     """Validate a config document and expand profiles into concrete fields."""
     _check_known(cfg)
     sizes, spacing = read(cfg, "grid.sizes"), read(cfg, "grid.spacing")
-    group = group_by_name(read(cfg, "group"))
+    read(cfg, "group")  # the row admits "SO3" alone
+    group = so3()
     spec = lagrangian.get_spec(read(cfg, "lagrangian"))
     nu_cfg = _profile_cfg(cfg, "init.nu")
     gamma_cfg = _profile_cfg(cfg, "gamma0")
@@ -555,6 +556,8 @@ ORDER_KEYS = (
 def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0):
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
+    A level of n sites runs steps * n / N0 steps (N0 = grid.sizes[0]); a count
+    that is not whole, or is below 2, is refused before any level runs.
     Returns one measurement dict per level with the interior maxima of every
     monitored residual. Each level streams: its visitor keeps the running
     maxima, so a level holds three steps at a time. A level that diverges
@@ -563,15 +566,23 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
     base = parse_config(raw_cfg)
     dim = base.grid.dim
     lengths = base.grid.lengths
-    t_final = base.dt * base.steps
-    base_n = raw_cfg["grid"]["sizes"][0]
-    out = []
+    base_n = base.grid.sizes[0]
+    level_steps = []
     for n_sites in sizes:
+        steps, rest = divmod(base.steps * n_sites, base_n)
+        if rest:
+            raise ConfigError("ladder.sizes", f"level {n_sites}: {base.steps} steps * "
+                              f"{n_sites} / {base_n} sites is not a whole step count")
+        if steps < 2:
+            raise ConfigError("time.steps", f"level {n_sites} would run {steps} steps; "
+                              "each level needs at least 2")
+        level_steps.append(steps)
+    out = []
+    for n_sites, steps in zip(sizes, level_steps):
         level_cfg = json.loads(json.dumps(raw_cfg))
         level_cfg["grid"]["sizes"] = [int(n_sites)] * dim
         level_cfg["grid"]["spacing"] = [lengths[i] / n_sites for i in range(dim)]
         dt = base.dt * base_n / n_sites
-        steps = max(2, round(t_final / dt))
         level_cfg["time"] = {"dt": dt, "steps": steps}
         try:
             cfg = parse_config(level_cfg)

@@ -319,9 +319,9 @@ def simulate(cfg: SimConfig, visit) -> None:
     chi = GroupField.identity(grid, group)
     traj._push(0, state, chi)
     batched_exp = math.prod(grid.sizes) <= BATCHED_EXP_SITES
-    for n in range(cfg.steps):
-        # overflow is reported once, as the DivergenceError, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows as the DivergenceError, or as inf/nan monitors, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.steps):
             nu_new, gamma_new, nu_a, nu_b = _rk4_stages(
                 spec, grid, group, state.nu.values, state.gamma.comps, dt)
             state = ReducedState(
@@ -340,10 +340,10 @@ def simulate(cfg: SimConfig, visit) -> None:
             except StepTooLargeError as exc:
                 # a blowing-up but finite state overruns the rotation limit
                 raise DivergenceError(n + 1, "step_too_large", "chi") from exc
-        traj._push(n + 1, state, chi)
-        visit(traj, n)
-        traj._drop(n - 1)
-    visit(traj, cfg.steps)
+            traj._push(n + 1, state, chi)
+            visit(traj, n)
+            traj._drop(n - 1)
+        visit(traj, cfg.steps)
 
 
 def energy(spec: DensitySpec, s: ReducedState) -> float:

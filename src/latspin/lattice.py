@@ -38,7 +38,6 @@ __all__ = [
     "l2_pair",
     "right_log_derivative",
     "snapshot",
-    "field_from_snapshot",
 ]
 
 MIN_SITES_PER_AXIS = 4
@@ -185,9 +184,7 @@ class DualField(_Coefficients):
 
 @dataclass
 class GroupField(_Field):
-    """Map from the lattice into G, stored as matrices (sites..., n, n).
-
-    Only field_from_snapshot, where outside data enters, checks membership."""
+    """Map from the lattice into G, stored as matrices (sites..., n, n)."""
 
     values: np.ndarray
 
@@ -349,16 +346,16 @@ def right_log_derivative(chi: GroupField) -> ConnectionForm:
 _KINDS = {
     "algebra": AlgebraField,
     "dual": DualField,
-    "group": GroupField,
     "connection": ConnectionForm,
     "dual_vector": DualVectorField,
 }
 
 
 def snapshot(f) -> dict:
-    """Snapshot of f: its header, and its data as the flat row-major array of f
-    (a view). json.dumps(snap, default=np.ndarray.tolist) serializes it, and a
-    writer can encode the data chunk by chunk straight from the array.
+    """Snapshot of a coefficient field f: its header, and its data as the flat
+    row-major array of f (a view). json.dumps(snap, default=np.ndarray.tolist)
+    serializes it, and a writer can encode the data chunk by chunk straight
+    from the array. Snapshots are written, never read back.
     """
     for kind, cls in _KINDS.items():
         if type(f) is cls:
@@ -371,17 +368,3 @@ def snapshot(f) -> dict:
                 "data": getattr(f, f._data).reshape(-1),
             }
     raise TypeError(f"cannot snapshot {type(f).__name__}")
-
-
-def field_from_snapshot(snap: dict, group: MatrixGroup):
-    """The field a snapshot describes; a "group" snapshot must lie in group."""
-    if snap["group"] != group.name:
-        raise GridMismatchError(
-            f"snapshot group {snap['group']!r} does not match {group.name!r}"
-        )
-    grid = Grid(tuple(snap["sizes"]), tuple(snap["spacing"]))
-    cls = _KINDS[snap["kind"]]
-    data = np.asarray(snap["data"], float).reshape(cls._shape(grid, group))
-    if cls is GroupField:
-        group.check_membership(data)
-    return cls(grid, group, data)

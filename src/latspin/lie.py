@@ -20,19 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "MembershipError",
     "LogBranchError",
     "MatrixGroup",
     "so3",
-    "group_by_name",
 ]
 
-SO3_MEMBERSHIP_TOL = 1e-9
 SO3_LOG_ANGLE_MARGIN = 1e-6
-
-
-class MembershipError(ValueError):
-    """Matrix fails the group membership test."""
 
 
 class LogBranchError(ValueError):
@@ -104,22 +97,6 @@ class MatrixGroup:
 
     def inverse_arr(self, gmats) -> np.ndarray:
         return np.swapaxes(gmats, -1, -2)
-
-    def membership_defect(self, mats) -> np.ndarray:
-        """Frobenius defect from orthogonality; inf where det <= 0."""
-        mats = np.asarray(mats, float)
-        gram = np.swapaxes(mats, -1, -2) @ mats
-        defect = np.linalg.norm(gram - np.eye(3), axis=(-2, -1))
-        bad_det = np.linalg.det(mats) <= 0
-        return np.where(bad_det, np.inf, defect)
-
-    def check_membership(self, mats, tol=SO3_MEMBERSHIP_TOL):
-        defect = self.membership_defect(mats)
-        worst = float(np.max(defect))
-        if not np.isfinite(worst) or worst > tol:
-            raise MembershipError(
-                f"matrix is not in {self.name} (defect {worst:.3e} > {tol:.1e})"
-            )
 
     def exp_arr(self, coeffs) -> np.ndarray:
         """Rodrigues formula I + a k + b k^2, k the hat matrix of coeffs.
@@ -223,9 +200,3 @@ _SO3 = MatrixGroup("SO3")
 def so3() -> MatrixGroup:
     """The shared SO(3) descriptor."""
     return _SO3
-
-
-def group_by_name(name: str) -> MatrixGroup:
-    if name == "SO3":
-        return _SO3
-    raise ValueError(f"unknown group name {name!r}")

@@ -3,10 +3,10 @@
 `ReferenceGroup(name, basis, kappa_weight)` takes any stack of square
 matrices that is orthonormal for kappa(X, Y) = w tr(X^T Y), closes under the
 bracket and makes kappa ad-invariant, and computes every kernel from the
-basis: the structure-tensor einsum, scipy's scaling-and-squaring `expm`, the
-real matrix logarithm, and a log round trip as the membership test. It is a
-drop-in `MatrixGroup` for the lattice containers and `simulate`, so tests can
-run one computation through both and compare the bits.
+basis: the structure-tensor einsum, scipy's scaling-and-squaring `expm` and
+the real matrix logarithm. It is a drop-in `MatrixGroup` for the lattice
+containers and `simulate`, so tests can run one computation through both and
+compare the bits.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def reference_so3() -> ReferenceGroup:
 
 
 class ReferenceGroup(MatrixGroup):
-    """Every kernel from the basis; ad_arr, check_membership and identity are
-    MatrixGroup's, which build on these."""
+    """Every kernel from the basis; ad_arr and identity are MatrixGroup's,
+    which build on these."""
 
     def __init__(self, name, basis, kappa_weight):
         basis = np.asarray(basis, dtype=float)
@@ -103,16 +103,6 @@ class ReferenceGroup(MatrixGroup):
 
     def inverse_arr(self, gmats) -> np.ndarray:
         return np.linalg.inv(gmats)
-
-    def membership_defect(self, mats) -> np.ndarray:
-        # accept matrices whose log round-trips
-        mats = np.asarray(mats, float)
-        try:
-            coeffs = self.log_arr(mats)
-        except LogBranchError:
-            return np.full(mats.shape[:-2], np.inf)
-        back = self.exp_arr(coeffs)
-        return np.linalg.norm(back - mats, axis=(-2, -1))
 
     def exp_arr(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, float)

@@ -153,7 +153,8 @@ def _limit_address_space():
     pytest.param("simulate", 100000, False, "grid.sizes", id="simulate-grid.sizes"),
     pytest.param("convergence", 100000, False, "ladder.sizes", id="convergence-ladder.sizes"),
     pytest.param("simulate", 3000, True, "grid.sizes", id="simulate-step-grid.sizes"),
-    pytest.param("convergence", 3000, True, "ladder.sizes", id="convergence-step-ladder.sizes"),
+    # 7 steps * 3008 / 16 sites is a whole step count for the level
+    pytest.param("convergence", 3008, True, "ladder.sizes", id="convergence-step-ladder.sizes"),
     pytest.param("verify", 100000, False, "--sizes", id="verify---sizes"),
     # more sites than numpy can index: its ValueError is no MemoryError
     pytest.param("simulate", BEYOND_INDEX_RANGE, False, "grid.sizes",
@@ -169,7 +170,7 @@ def test_unallocatable_grid_exits_2_naming_the_key(tmp_path, command, sites, zer
     # The child runs under a 2 GiB address-space limit. At 1e10 sites one
     # scalar array of the grid (of the last ladder level, or of verify's 2-D
     # grid) takes 75 GiB, so the allocation fails at once on any machine. At
-    # 9e6 sites the zero fields fit (about 1.3 GiB), and the arrays of the
+    # about 9e6 sites the zero fields fit (about 1.3 GiB), and the arrays of the
     # first RK4 step do not. A grid beyond numpy's index range is 1-D with
     # 1e20 sites, in the first --sizes slot of verify.
     beyond = sites == BEYOND_INDEX_RANGE
@@ -291,12 +292,8 @@ def test_simulate_outputs_snapshots_and_report(tmp_path):
     assert report["status"] == "ok"
     assert len(report["rows"]) == 11
     snap = json.load(open(os.path.join(outdir, "state_10.json")))
-    from latspin.lattice import field_from_snapshot
-
-    nu = field_from_snapshot(snap["nu"], so3())
-    assert nu.values.shape == (8, 3)
-    gamma = field_from_snapshot(snap["gamma"], so3())
-    assert gamma.comps.shape == (1, 8, 3)
+    assert snap["nu"]["kind"] == "algebra" and len(snap["nu"]["data"]) == 8 * 3
+    assert snap["gamma"]["kind"] == "connection" and len(snap["gamma"]["data"]) == 1 * 8 * 3
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
@@ -352,6 +349,33 @@ def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
     assert report["failed_cause"] == "non_finite"
     assert report["failed_field"] == "nu"
     assert proc.stderr.splitlines() == ["error: non_finite in nu at step 1"]
+
+
+# Finite fields whose monitors overflow: at gamma0 amplitude 3e153 the
+# curvature and the energy density overflow, while dt 1e-300 keeps every
+# step finite. No step diverges, so the run and its rows finish.
+MONITOR_OVERFLOW_CONFIG = {
+    "grid": {"dim": 2, "sizes": [8, 8], "spacing": [0.125, 0.125]},
+    "group": "SO3",
+    "lagrangian": "spin_glass",
+    "init": {"nu": {"profile": "zero"}},
+    "gamma0": {"profile": "fourier", "modes": 1, "amplitude": 3e153, "seed": 3},
+    "time": {"dt": 1e-300, "steps": 4},
+    "output": {"cadence": 1},
+    "ladder": {"sizes": [8, 16, 32]},
+}
+
+
+def test_a_finite_run_whose_monitors_overflow_prints_no_warning(tmp_path):
+    # warnings are errors here, so an escaping numpy warning ends in a traceback
+    path, outdir = write_config(tmp_path, MONITOR_OVERFLOW_CONFIG), str(tmp_path / "out")
+    strict = {"PYTHONWARNINGS": "error"}
+    proc = run_cli(["simulate", path, outdir], env_extra=strict)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_series(outdir)
+    assert len(rows) == 5 and all(row["curvature_max"] == "inf" for row in rows)
+    proc = run_cli(["convergence", path], env_extra=strict)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_diverged_run_keeps_its_finished_rows(tmp_path):
@@ -604,6 +628,12 @@ def test_convergence_rejects_short_ladder(tmp_path):
                  id="output-dir-list"),
     pytest.param(dict(ZERO_CONFIG, time={"dt": 1e-320, "steps": 10}), {"sizes": [8, 16, 32]},
                  "time.dt", id="dt-subnormal"),
+    # a level runs steps * n / N0 steps, so that every level ends at the same T
+    pytest.param(ZERO_CONFIG, {"sizes": [8, 9, 16]}, "ladder.sizes", id="level-steps-fraction"),
+    pytest.param(dict(ZERO_CONFIG, time={"dt": 0.01, "steps": 1}), {"sizes": [8, 16, 32]},
+                 "time.steps", id="level-below-2-steps"),
+    pytest.param(dict(ZERO_CONFIG, time={"dt": 0.01, "steps": 0}), {"sizes": [8, 16, 32]},
+                 "time.steps", id="zero-steps"),
 ])
 def test_convergence_invalid_config_names_key(tmp_path, base, ladder, key):
     cfg = json.loads(json.dumps(base))

@@ -265,7 +265,9 @@ def test_reconstruct_preserves_membership(g, grid32):
     nu = fourier_algebra_field(grid32, g, 2, 0.8, 21)
     for _ in range(50):
         chi = reconstruct_step(chi, nu.values, 0.02)
-    assert float(np.max(g.membership_defect(chi.values))) <= 1e-12
+    gram = np.swapaxes(chi.values, -1, -2) @ chi.values
+    assert np.max(np.linalg.norm(gram - np.eye(3), axis=(-2, -1))) <= 1e-12
+    assert np.all(np.linalg.det(chi.values) > 0)
 
 
 def test_reconstruct_step_too_large(g, grid32):

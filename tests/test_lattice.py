@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,12 @@ from latspin.lattice import (
     cdiff_array,
     d_alg,
     div_dual,
-    field_from_snapshot,
     integrate,
     l2_pair,
     max_row_norm,
     right_log_derivative,
     snapshot,
 )
-from latspin.lie import MembershipError
 
 SBP_TOL = 1e-13
 QUAD_TOL = 1e-13
@@ -302,30 +302,20 @@ def test_rld_richardson_second_order(g):
 
 
 def test_snapshot_roundtrip_all_kinds(g, grid2d16):
-    fields = [
-        fourier_algebra_field(grid2d16, g, 2, 0.5, 9),
-        DualField(grid2d16, g, fourier_algebra_field(grid2d16, g, 2, 0.5, 10).values),
-        group_field_from_profile(grid2d16, g, 2, 0.5, 11),
-        fourier_connection(grid2d16, g, 2, 0.5, 12),
-        DualVectorField(grid2d16, g, fourier_connection(grid2d16, g, 2, 0.5, 13).comps),
-    ]
-    for f in fields:
-        snap = snapshot(f)
-        assert snap["sizes"] == [16, 16] and snap["group"] == "SO3"
-        back = field_from_snapshot(snap, g)
-        data = back.comps if hasattr(back, "comps") else back.values
+    # snapshots are write-only: decode the JSON here and compare it with the field
+    fields = {
+        "algebra": fourier_algebra_field(grid2d16, g, 2, 0.5, 9),
+        "dual": DualField(grid2d16, g, fourier_algebra_field(grid2d16, g, 2, 0.5, 10).values),
+        "connection": fourier_connection(grid2d16, g, 2, 0.5, 12),
+        "dual_vector": DualVectorField(
+            grid2d16, g, fourier_connection(grid2d16, g, 2, 0.5, 13).comps),
+    }
+    for kind, f in fields.items():
+        snap = json.loads(json.dumps(snapshot(f), default=np.ndarray.tolist))
+        header = {"dim": 2, "sizes": [16, 16], "spacing": [1 / 16, 1 / 16], "group": "SO3",
+                  "kind": kind}
+        assert {key: snap[key] for key in header} == header
         orig = f.comps if hasattr(f, "comps") else f.values
-        assert np.array_equal(data, orig)
-
-
-def test_field_from_snapshot_checks_what_it_reads(g, grid32):
-    # outside data enters here: a group snapshot must lie in the group, and
-    # an algebra snapshot must be finite
-    off = snapshot(GroupField.identity(grid32, g))
-    off["data"] = (np.asarray(off["data"]) + 0.5).tolist()
-    with pytest.raises(MembershipError):
-        field_from_snapshot(off, g)
-    nan = snapshot(AlgebraField.zeros(grid32, g))
-    nan["data"][4] = float("nan")
-    with pytest.raises(NonFiniteError):
-        field_from_snapshot(nan, g)
+        assert np.array_equal(np.reshape(snap["data"], orig.shape), orig)
+    with pytest.raises(TypeError, match="GroupField"):
+        snapshot(group_field_from_profile(grid2d16, g, 2, 0.5, 11))

@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer still finds every binding it wraps.
 
 A refactor that renames or drops a traced function would otherwise surface
-only in a traced benchmark run; this imports the tracer (read only) and
-installs it on the package.
+only in a traced benchmark run; this imports the tracer and the workload
+definitions (read only), installs the tracer on the package, and checks each
+workload's exact span call counts.
 """
 
 import importlib.util
@@ -10,9 +11,13 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import latspin.cli  # imports every latspin module the spans live in
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 SMALL_CONFIG = {
     "grid": {"dim": 1, "sizes": [8], "spacing": [0.125]},
@@ -28,6 +33,15 @@ SMALL_CONFIG = {
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its class's module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -77,3 +91,20 @@ def test_every_span_resolves_and_uninstall_restores(tmp_path):
     after = bindings(tracer_module)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("name", ["chain1d", "field2d", "ladder2d", "verify"])
+def test_every_workload_makes_its_expected_span_calls(tmp_path, name):
+    workload = load_workloads().WORKLOADS[name]
+    config = tmp_path / "config.json"
+    if workload.config is not None:
+        config.write_text(json.dumps(workload.config_for(None)))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        latspin.cli.main(workload.argv(None, str(config), str(tmp_path / "out")))
+    finally:
+        tracer.uninstall()
+    counts = tracer.report()
+    for key, want in workload.expected_calls().items():
+        assert counts[key] == want, key
