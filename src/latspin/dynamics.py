@@ -32,9 +32,7 @@ from .fields import (
     ReducedState,
     StepTooLargeError,
     advect_exact,
-    cov_diff,
     cov_diff_array,
-    cov_div,
     cov_div_array,
     curvature,
     gauge_act,
@@ -44,14 +42,11 @@ from .lagrangian import DensitySpec, delta_l_delta_nu, instantaneous_L, reduced_
 from .lattice import (
     AlgebraField,
     ConnectionForm,
-    DualField,
-    DualVectorField,
     Grid,
     GroupField,
     NonFiniteError,
     _check_same_grid,
     div_array,
-    div_dual,
     l2_pair,
     max_row_norm,
 )
@@ -374,7 +369,7 @@ def _check_step(traj, n):
 
 
 def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
-                       abar: ConnectionForm | None = None) -> DualField:
+                       abar: np.ndarray | None = None) -> np.ndarray:
     """Residual of the covariant form of the field equations at step n.
 
     Builds the covariant pair (sigma1, sigma2) = (nu, -gamma), takes the fiber
@@ -385,9 +380,11 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
 
     with D_t the time difference of _time_difference, centred at interior
     steps and one-sided at steps 0 and steps; any other n raises IndexError.
-    With a background one-form abar the divergence becomes the abar-covariant
-    one and the ad* weights shift to sigma2 + abar; the two evaluations agree
-    identically (the abar terms cancel), so any gap is pure roundoff.
+    With a background one-form abar (coefficients (dim, sites..., d)) the
+    divergence becomes the abar-covariant one and the ad* weights shift to
+    sigma2 + abar; the two evaluations agree identically (the abar terms
+    cancel), so any gap is pure roundoff. R comes back unchecked, as its
+    (sites..., d) coefficients, so a residual that overflows reads inf or nan.
     """
     _check_step(traj, n)
     group = traj.group
@@ -395,16 +392,14 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
     m_now, w_now = spec.d_sigma1(sigma1), spec.d_sigma2(sigma2)
     res = _time_difference(traj, n, lambda k: spec.d_sigma1(traj.states[k].nu.values))
-    w_field = DualVectorField(traj.grid, group, w_now)
     if abar is None:
-        res += div_dual(w_field).values
-        res += np.sum(group.ad_star_arr(sigma2, w_field.comps), axis=0)
+        res += div_array(w_now, traj.grid.spacing)
     else:
-        res += cov_div(abar, w_field).values
-        shifted = sigma2 + abar.comps
-        res += np.sum(group.ad_star_arr(shifted, w_field.comps), axis=0)
+        res += cov_div_array(traj.grid, group, abar, w_now)
+        sigma2 += abar
+    res += np.sum(group.ad_star_arr(sigma2, w_now), axis=0)
     res += group.ad_star_arr(sigma1, m_now)
-    return DualField(traj.grid, group, res)
+    return res
 
 
 # -- variational residual ---------------------------------------------------------
@@ -464,7 +459,7 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
             action.append(_action_term(spec, traj, before, mat)
                           + _action_term(spec, traj, mat, after))
         ds = (action[0] - action[1]) / (2.0 * eps)
-        worst = max(worst, abs(ds))
+        worst = float(np.maximum(worst, abs(ds)))  # keeps a NaN, as max would not
     return worst / (traj.dt * grid.cell_volume)
 
 
@@ -482,7 +477,7 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     """
     _check_step(traj, n)
     s = traj.states[n]
-    adv = cov_diff(s.gamma, s.nu).comps
+    adv = cov_diff_array(traj.grid, traj.group, s.gamma.comps, s.nu.values)
     adv += _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
     advection = max_row_norm(adv)
     del adv
@@ -502,5 +497,5 @@ def monitor_row(spec: DensitySpec, traj: Trajectory, n: int) -> dict:
     norm of covariant_residual inserted before the closed-form advection gap."""
     row = compatibility_monitor(traj, n)
     gap = row.pop("exact_advect_gap")
-    cov = covariant_residual(spec, traj, n).max_norm()
+    cov = max_row_norm(covariant_residual(spec, traj, n))
     return {**row, "covariant_residual": cov, "exact_advect_gap": gap}

@@ -376,6 +376,36 @@ def test_a_finite_run_whose_monitors_overflow_prints_no_warning(tmp_path):
     assert len(rows) == 5 and all(row["curvature_max"] == "inf" for row in rows)
     proc = run_cli(["convergence", path], env_extra=strict)
     assert (proc.returncode, proc.stderr) == (1, "")
+    # every probe's action terms are NaN, which the level maxima keep
+    assert "FAIL order[variational_residual] = nan" in proc.stdout.splitlines()
+
+
+# At spacing ~1e-155 and amplitudes ~1e153 the fields and the step are finite,
+# but a difference quotient overflows: the divergence in covariant_residual
+# (A) and the covariant differential in the advection residual (B).
+TINY_SPACING_CONFIG = {
+    "grid": {"dim": 1, "sizes": [8], "spacing": [3e-155]},
+    "group": "SO3",
+    "lagrangian": "spin_glass",
+    "init": {"nu": {"profile": "fourier", "modes": 1, "amplitude": 3e153, "seed": 1}},
+    "gamma0": {"profile": "fourier", "modes": 1, "amplitude": 3e153, "seed": 3},
+    "time": {"dt": 1e-300, "steps": 0},
+}
+
+
+@pytest.mark.parametrize("changes,column", [
+    ({}, "covariant_residual"),
+    ({"grid": {"dim": 1, "sizes": [8], "spacing": [1e-155]},
+      "init": {"nu": {"profile": "fourier", "modes": 1, "amplitude": 5e153, "seed": 1}},
+      "gamma0": {"profile": "zero"}}, "advection_residual"),
+], ids=["div", "cov_diff"])
+def test_a_monitor_that_overflows_at_tiny_spacing_writes_inf(tmp_path, changes, column):
+    path = write_config(tmp_path, {**TINY_SPACING_CONFIG, **changes})
+    outdir = str(tmp_path / "out")
+    proc = run_cli(["simulate", path, outdir], env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_series(outdir)
+    assert len(rows) == 1 and rows[0][column] == "inf"
 
 
 def test_diverged_run_keeps_its_finished_rows(tmp_path):
