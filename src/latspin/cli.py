@@ -558,7 +558,9 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
     A level of n sites runs steps * n / N0 steps (N0 = grid.sizes[0]); a count
-    that is not whole, or is below 2, is refused before any level runs.
+    that is not whole, or is below 2, is refused before any level runs, and so
+    is a level whose config fails to parse: every level is parsed first, and
+    the levels held until they run are initial fields only.
     Returns one measurement dict per level with the interior maxima of every
     monitored residual. Each level streams: its visitor keeps the running
     maxima, so a level holds three steps at a time. A level that diverges
@@ -578,18 +580,19 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
             raise ConfigError("time.steps", f"level {n_sites} would run {steps} steps; "
                               "each level needs at least 2")
         level_steps.append(steps)
-    out = []
+    configs = []
     for n_sites, steps in zip(sizes, level_steps):
         level_cfg = json.loads(json.dumps(raw_cfg))
         level_cfg["grid"]["sizes"] = [int(n_sites)] * dim
         level_cfg["grid"]["spacing"] = [lengths[i] / n_sites for i in range(dim)]
-        dt = base.dt * base_n / n_sites
-        level_cfg["time"] = {"dt": dt, "steps": steps}
+        level_cfg["time"] = {"dt": base.dt * base_n / n_sites, "steps": steps}
         try:
-            cfg = parse_config(level_cfg)
+            configs.append(parse_config(level_cfg))
         except ConfigError as exc:
             # the base config parsed, so the level size is at fault
             raise ConfigError("ladder.sizes", f"level {n_sites}: {exc}") from None
+    out = []
+    for n_sites, cfg in zip(sizes, configs):
         worst = dict.fromkeys(ORDER_KEYS, 0.0)
 
         def visit(traj, k):
@@ -611,8 +614,8 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         out.append({
             "sites": int(n_sites),
             "h": lengths[0] / n_sites,
-            "dt": dt,
-            "steps": steps,
+            "dt": cfg.dt,
+            "steps": cfg.steps,
             **worst,
         })
     return out

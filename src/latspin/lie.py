@@ -101,32 +101,25 @@ class MatrixGroup:
     def exp_arr(self, coeffs) -> np.ndarray:
         """Rodrigues formula I + a k + b k^2, k the hat matrix of coeffs.
 
-        a = sin(t)/t and b = (1-cos t)/t^2 are the quotients. Only where some
-        angle t is below 1e-4 are they formed under errstate (a zero angle
-        gives 0/0) and overwritten by their series at those entries, both
-        series in one pass; otherwise no quotient is 0/0, and they are the
-        whole of a and b. The sum is built as a k + I + b (k @ k), the same
-        sums as eye + a k + b (k @ k), in two (..., 3, 3) buffers: k @ k, and
-        k itself, which is overwritten and returned. The einsum sums theta^2
-        as (p0 + p2) + p1 over a contiguous last axis, (p0 + p1) + p2 over a
-        strided one: coeffs is read C-contiguous, so any layout gives one result.
+        a = sin(t)/t and b = (1-cos t)/t^2 are divided only where the angle t
+        is at least 1e-4, so no 0/0 is formed, and take their series, both in
+        one pass, where it is below; the out buffers are arrays, so the masked
+        writes serve one element too. The sum is built as a k + I + b (k @ k),
+        the same sums as eye + a k + b (k @ k), in two (..., 3, 3) buffers:
+        k @ k, and k itself, which is overwritten and returned. The einsum sums
+        theta^2 as (p0 + p2) + p1 over a contiguous last axis, (p0 + p1) + p2
+        over a strided one: coeffs is read C-contiguous, so any layout gives
+        one result.
         """
         coeffs = np.ascontiguousarray(coeffs, dtype=float)
         k = self.hat(coeffs)
         theta2 = np.einsum("...a,...a->...", coeffs, coeffs)
         theta = np.sqrt(theta2)
         small = theta < 1e-4
-        if small.any():
-            # np.asarray: for one element these are numpy scalars, which the
-            # masked writes below cannot index
-            with np.errstate(invalid="ignore", divide="ignore"):
-                a = np.asarray(np.sin(theta) / theta)
-                b = np.asarray((1.0 - np.cos(theta)) / theta2)
-            t2 = theta2[small]
-            a[small], b[small] = _SERIES_LEAD - t2 / _SERIES_T2 + t2 * t2 / _SERIES_T4
-        else:
-            a = np.sin(theta) / theta
-            b = (1.0 - np.cos(theta)) / theta2
+        a = np.divide(np.sin(theta), theta, out=np.empty(theta.shape), where=~small)
+        b = np.divide(1.0 - np.cos(theta), theta2, out=np.empty(theta.shape), where=~small)
+        t2 = theta2[small]
+        a[small], b[small] = _SERIES_LEAD - t2 / _SERIES_T2 + t2 * t2 / _SERIES_T4
         kk = k @ k
         kk *= b[..., None, None]
         k *= a[..., None, None]
@@ -135,6 +128,8 @@ class MatrixGroup:
         return k
 
     def log_arr(self, gmats) -> np.ndarray:
+        """theta/sin(theta) times the axis vee(g): divided where theta >= 1e-4,
+        the series 1 + t^2/6 + 7 t^4/360 below, as in exp_arr."""
         gmats = np.asarray(gmats, float)
         tr = np.trace(gmats, axis1=-2, axis2=-1)
         cos_theta = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
@@ -146,13 +141,9 @@ class MatrixGroup:
             )
         vee = _so3_vee(gmats)
         small = theta < 1e-4
-        theta2 = theta * theta
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factor = np.where(
-                small,
-                1.0 + theta2 / 6.0 + 7.0 * theta2 * theta2 / 360.0,
-                theta / np.where(small, 1.0, np.sin(theta)),
-            )
+        factor = np.divide(theta, np.sin(theta), out=np.empty(theta.shape), where=~small)
+        t2 = np.square(theta[small])
+        factor[small] = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
         return factor[..., None] * vee
 
     def identity(self) -> np.ndarray:

@@ -789,6 +789,21 @@ def test_a_ladder_draws_its_probes_once_per_level(monkeypatch):
     assert len(probe_rngs) == 3
 
 
+def test_a_ladder_refuses_a_level_that_fails_to_parse_before_running_any(monkeypatch):
+    # the 4-site level cannot carry the 2 Fourier modes of the 8- and 16-site
+    # levels; no level runs before that is found
+    raw = ladder_case(2, [8, 16, 4])
+    raw["init"]["nu"]["modes"] = 2
+    ran = []
+    monkeypatch.setattr(dynamics, "simulate", lambda cfg, visit: ran.append(cfg.grid.sizes))
+    with pytest.raises(cli.ConfigError) as info:
+        cli.ladder_measurements(raw, raw["ladder"]["sizes"])
+    assert info.value.key == "ladder.sizes"
+    assert str(info.value) == ("config key 'ladder.sizes': level 4: config key "
+                               "'init.nu.modes': modes must lie in [1, 1] for this grid")
+    assert ran == []
+
+
 def test_convergence_peak_memory_is_flat_in_the_step_count(tmp_path):
     # a level holds three steps while it runs: ten times the steps (dt scaled
     # to keep T) adds no held steps, where a whole 64-site level of 320 steps

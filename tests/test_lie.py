@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,22 @@ def rodrigues_where(coeffs, k):
     return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
+def log_where(g, gmats):
+    # the log as an expression: both branches of theta / sin(theta) under
+    # np.where, times the axis
+    tr = np.trace(gmats, axis1=-2, axis2=-1)
+    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    small = theta < 1e-4
+    theta2 = theta * theta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.where(small, 1.0 + theta2 / 6.0 + 7.0 * theta2 * theta2 / 360.0,
+                          theta / np.where(small, 1.0, np.sin(theta)))
+    return factor[..., None] * g.to_coeffs(gmats)
+
+
 def _exp_coeffs(shape, kind):
+    if kind in ("zero", "negative-zero"):
+        return np.full(shape, 0.0 if kind == "zero" else -0.0)
     x = np.random.default_rng(17).normal(size=shape)
     rows = x.reshape(-1, 3)
     if kind == "small":
@@ -195,22 +212,40 @@ def _exp_coeffs(shape, kind):
     return x
 
 
-@pytest.mark.parametrize("shape", [(3,), (32, 3), (2, 64, 64, 3)])
-@pytest.mark.parametrize("kind", ["small", "large", "mixed", "zero", "negative-zero"])
-def test_so3_exp_matches_the_rodrigues_expression_bit_for_bit(g, shape, kind):
-    if kind in ("zero", "negative-zero"):
-        x = np.full(shape, 0.0 if kind == "zero" else -0.0)
-    else:
-        x = _exp_coeffs(shape, kind)
-    angles = np.linalg.norm(x, axis=-1)
+def _assert_angle_mix(angles, shape, kind):
     if kind == "large":  # no entry takes the series
         assert np.all(angles >= 1e-4)
     elif kind == "mixed" and shape != (3,):
         assert np.any(angles < 1e-4) and np.any(angles >= 1e-4)
     else:
         assert np.any(angles < 1e-4)
-    got, want = g.exp_arr(x), rodrigues_where(x, g.hat(x))
+
+
+def _warning_free(kernel, arg):
+    # the kernels set no error state: any floating-point warning fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return kernel(arg)
+
+
+@pytest.mark.parametrize("shape", [(3,), (32, 3), (2, 64, 64, 3)])
+@pytest.mark.parametrize("kind", ["small", "large", "mixed", "zero", "negative-zero"])
+def test_so3_exp_matches_the_rodrigues_expression_bit_for_bit(g, shape, kind):
+    x = _exp_coeffs(shape, kind)
+    _assert_angle_mix(np.linalg.norm(x, axis=-1), shape, kind)
+    got, want = _warning_free(g.exp_arr, x), rodrigues_where(x, g.hat(x))
     assert got.shape == want.shape == shape[:-1] + (3, 3)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(3,), (32, 3), (2, 64, 64, 3)])
+@pytest.mark.parametrize("kind", ["small", "large", "mixed", "zero", "negative-zero"])
+def test_so3_log_matches_the_series_expression_bit_for_bit(g, shape, kind):
+    gmats = g.exp_arr(_exp_coeffs(shape, kind))
+    got, want = _warning_free(g.log_arr, gmats), log_where(g, gmats)
+    _assert_angle_mix(np.linalg.norm(want, axis=-1), shape, kind)
+    assert got.shape == want.shape == shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
