@@ -1,12 +1,14 @@
 """Configuration-driven entry point: simulate, verify, convergence.
 
 Exit codes: 0 success, 1 failed verification/convergence checks, 2 bad
-configuration, 3 divergence during time stepping.
+configuration, 3 divergence during time stepping. A command that fails
+raises a CommandError, and `main` alone prints its one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from .lattice import (
 )
 from .lie import so3
 
-__all__ = ["ConfigError", "main", "run_simulate", "run_verify", "run_convergence"]
+__all__ = ["CommandError", "ConfigError", "main", "run_simulate", "run_verify", "run_convergence"]
 
 SERIES_HEADER = "t,l_value,energy,advection_residual,curvature_max,covariant_residual,exact_advect_gap"
 ORDER_THRESHOLD = 1.7
@@ -40,7 +42,15 @@ ZERO_LADDER_FLOOR = 1e-12
 VERIFY_SIZES = (32, 16)  # default verify --sizes: 1-D sites, 2-D sites per axis
 
 
-class ConfigError(ValueError):
+class CommandError(Exception):
+    """A command failed: `main` prints `error: <message>` and exits with code."""
+
+    def __init__(self, message, code=2):
+        super().__init__(message)
+        self.code = code
+
+
+class ConfigError(CommandError, ValueError):
     """Invalid configuration; carries the offending key."""
 
     def __init__(self, key, message):
@@ -317,40 +327,34 @@ def _make_dir(path):
     return None
 
 
-def _write_failed(outdir, exc):
-    """Print why an output file under outdir could not be written; exit code 2."""
-    print(f"error: output directory: cannot write {exc.filename or outdir!r}: "
-          f"{exc.strerror or exc}", file=sys.stderr)
-    return 2
+@contextlib.contextmanager
+def _writing(outdir):
+    """Raise an OSError of writing under outdir as the command's exit-2 error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"output directory: cannot write {exc.filename or outdir!r}: "
+                           f"{exc.strerror or exc}") from None
 
 
 def _read_config(path):
-    """The JSON object in the file at path, or None once the reason is printed."""
+    """The JSON object in the file at path."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(f"cannot read config: {exc}") from None
     if not isinstance(raw, dict):
-        print("error: cannot read config: the document is not a JSON object", file=sys.stderr)
-        return None
+        raise CommandError("cannot read config: the document is not a JSON object")
     return raw
 
 
 def run_simulate(config_path, outdir) -> int:
     raw = _read_config(config_path)
-    if raw is None:
-        return 2
-    try:
-        cfg = parse_config(raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(raw)
     problem = _make_dir(outdir)
     if problem:
-        print(f"error: output directory: {problem}", file=sys.stderr)
-        return 2
+        raise CommandError(f"output directory: {problem}")
 
     rows = []
 
@@ -359,28 +363,25 @@ def run_simulate(config_path, outdir) -> int:
             rows.extend(trajectory_rows(cfg.spec, traj, [n]))
             _write_state(outdir, traj, n)
 
-    report, exit_code = {"config": raw, "status": "ok"}, 0
-    try:
+    report, diverged = {"config": raw, "status": "ok"}, None
+    with _writing(outdir):
         try:
             dynamics.simulate(cfg, visit)
         except dynamics.DivergenceError as exc:
             # the rows and snapshots of the steps before the failure stay
             report.update(status="diverged", failed_step=exc.step,
                           failed_cause=exc.cause, failed_field=exc.field)
-            print(f"error: {exc}", file=sys.stderr)
-            exit_code = 3
+            diverged = exc
         except MemoryError:
             # the fields fit, but the arrays of a step do not
-            print(f"error: {ConfigError('grid.sizes', 'too many sites to run a step')}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("grid.sizes", "too many sites to run a step") from None
         report["rows"] = rows
         write_series(os.path.join(outdir, "series.csv"), rows)
         with open(os.path.join(outdir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2)
-    except OSError as exc:
-        return _write_failed(outdir, exc)
-    return exit_code
+    if diverged:
+        raise CommandError(str(diverged), code=3)
+    return 0
 
 
 # -- verify -------------------------------------------------------------------
@@ -410,18 +411,18 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
     for _ in range(100):
         x, y, z = rng.normal(size=(3, 3))
         bxy = group.bracket_arr(x, y)
-        jac = max(jac, float(np.max(np.abs(
+        jac = float(np.maximum(jac, np.max(np.abs(
             group.bracket_arr(x, group.bracket_arr(y, z))
             + group.bracket_arr(y, group.bracket_arr(z, x))
             + group.bracket_arr(z, group.bracket_arr(x, y))
         ))))
-        adinv = max(adinv, abs(float(bxy @ z + y @ group.bracket_arr(x, z))))
-        dual = max(dual, abs(float(group.ad_star_arr(x, z) @ y - z @ bxy)))
+        adinv = float(np.maximum(adinv, abs(bxy @ z + y @ group.bracket_arr(x, z))))
+        dual = float(np.maximum(dual, abs(group.ad_star_arr(x, z) @ y - z @ bxy)))
         xi = rng.normal(size=3)
         scale = rng.uniform(0.1, 0.9) * np.pi / max(np.linalg.norm(xi), 1e-12)
         xi = xi * scale
         back = group.log_arr(group.exp_arr(xi))
-        roundtrip = max(roundtrip, float(np.max(np.abs(back - xi))))
+        roundtrip = float(np.maximum(roundtrip, np.max(np.abs(back - xi))))
     _report("lie.jacobi", jac, 1e-12, lines)
     _report("lie.ad_invariance", adinv, 1e-12, lines)
     _report("lie.ad_star_duality", dual, 1e-12, lines)
@@ -440,10 +441,10 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
             zeta = dynamics.fourier_algebra_field(grid, group, modes, 0.9, seed + 300 + k)
             a = l2_pair(div_dual(w), zeta)
             b = l2_pair(w, d_alg(zeta))
-            sbp = max(sbp, abs(a + b) / max(abs(a), abs(b), 1.0))
+            sbp = float(np.maximum(sbp, abs(a + b) / max(abs(a), abs(b), 1.0)))
             a = l2_pair(cov_div(gam, w), zeta)
             b = l2_pair(w, cov_diff(gam, zeta))
-            cov_adj = max(cov_adj, abs(a + b) / max(abs(a), abs(b), 1.0))
+            cov_adj = float(np.maximum(cov_adj, abs(a + b) / max(abs(a), abs(b), 1.0)))
         _report(f"lattice.sbp.{tag}", sbp, 1e-12, lines)
         _report(f"fields.cov_adjointness.{tag}", cov_adj, 1e-12, lines)
 
@@ -457,12 +458,12 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
             moved = lagrangian.instantaneous_L(
                 spec, chi.compose(lam), nu_p, gauge_act(lam, gam)
             )
-            gauge_dev = max(
+            gauge_dev = float(np.maximum(
                 gauge_dev, abs(moved - base_val) / max(abs(base_val), abs(moved), 1e-300)
-            )
-            red_gap = max(
+            ))
+            red_gap = float(np.maximum(
                 red_gap, lagrangian.reduction_identity_gap(spec, chi, nu_p, gam)
-            )
+            ))
         _report(f"lagrangian.gauge_invariance.{tag}", gauge_dev, 1e-10, lines)
         _report(f"lagrangian.reduction_identity.{tag}", red_gap, 1e-10, lines)
 
@@ -504,7 +505,7 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
                 ra = dynamics.covariant_residual(spec, traj, n, abar.comps)
                 w = lagrangian.delta_l_delta_gamma(spec, traj.states[n])
                 scale = max(max_row_norm(r0), abar.max_norm() * w.max_norm(), 1.0)
-                gap = max(gap, float(np.max(np.abs(ra - r0))) / scale)
+                gap = float(np.maximum(gap, np.max(np.abs(ra - r0)) / scale))
 
         dynamics.simulate(cfg, visit)
         _report(f"dynamics.abar_independence.{tag}", gap, 1e-12, lines)
@@ -515,18 +516,15 @@ def verify_suite(seed=0, sizes=VERIFY_SIZES):
 
 def run_verify(seed=0, sizes=VERIFY_SIZES) -> int:
     if seed < 0:
-        print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
-        return 2
+        raise CommandError(f"--seed must be non-negative, got {seed}")
     if min(sizes) < MIN_SITES_PER_AXIS:
-        print(f"error: --sizes must be at least {MIN_SITES_PER_AXIS} sites per axis, "
-              f"got {' '.join(map(str, sizes))}", file=sys.stderr)
-        return 2
+        raise CommandError(f"--sizes must be at least {MIN_SITES_PER_AXIS} sites per axis, "
+                           f"got {' '.join(map(str, sizes))}")
     try:
         all_ok, lines = verify_suite(seed=seed, sizes=sizes)
     except MemoryError:
-        print(f"error: --sizes {' '.join(map(str, sizes))}: too many sites to allocate "
-              "the fields", file=sys.stderr)
-        return 2
+        raise CommandError(f"--sizes {' '.join(map(str, sizes))}: too many sites to "
+                           "allocate the fields") from None
     for name, ok, bound, tol in lines:
         print(f"{'PASS' if ok else 'FAIL'} {name:42s} measured={bound:.3e} tol={tol:.1e}")
     return 0 if all_ok else 1
@@ -564,7 +562,7 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
     Returns one measurement dict per level with the interior maxima of every
     monitored residual. Each level streams: its visitor keeps the running
     maxima, so a level holds three steps at a time. A level that diverges
-    raises its DivergenceError with `sites` set to the level's site count.
+    raises a CommandError with exit code 3 that names its site count.
     """
     base = parse_config(raw_cfg)
     dim = base.grid.dim
@@ -606,8 +604,7 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
         try:
             dynamics.simulate(cfg, visit)
         except dynamics.DivergenceError as exc:
-            exc.sites = int(n_sites)
-            raise
+            raise CommandError(f"ladder level {n_sites} diverged: {exc}", code=3) from None
         except MemoryError:
             raise ConfigError("ladder.sizes",
                               f"level {n_sites}: too many sites to run a step") from None
@@ -628,29 +625,17 @@ def convergence_orders(measurements):
 
 def run_convergence(config_path) -> int:
     raw = _read_config(config_path)
-    if raw is None:
-        return 2
-    try:
-        sizes = read(raw, "ladder.sizes")
-        out_dir = read(raw, "output_dir") or os.path.dirname(config_path) or "."
-        problem = _make_dir(out_dir)
-        if problem:
-            raise ConfigError("output_dir", problem)
-        measurements = ladder_measurements(raw, sizes)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except dynamics.DivergenceError as exc:
-        print(f"error: ladder level {exc.sites} diverged: {exc}", file=sys.stderr)
-        return 3
+    sizes = read(raw, "ladder.sizes")
+    out_dir = read(raw, "output_dir") or os.path.dirname(config_path) or "."
+    problem = _make_dir(out_dir)
+    if problem:
+        raise ConfigError("output_dir", problem)
+    measurements = ladder_measurements(raw, sizes)
     orders = convergence_orders(measurements)
     payload = {"measurements": measurements, "orders": orders,
                "threshold": ORDER_THRESHOLD}
-    try:
-        with open(os.path.join(out_dir, "orders.json"), "w") as fh:
-            json.dump(payload, fh, indent=2)
-    except OSError as exc:
-        return _write_failed(out_dir, exc)
+    with _writing(out_dir), open(os.path.join(out_dir, "orders.json"), "w") as fh:
+        json.dump(payload, fh, indent=2)
     ok = True
     for key, order in orders.items():
         passed = order >= ORDER_THRESHOLD
@@ -682,11 +667,15 @@ def main(argv=None) -> int:
     p_conv.add_argument("config")
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return run_simulate(args.config, args.outdir)
-    if args.command == "verify":
-        return run_verify(seed=args.seed, sizes=tuple(args.sizes))
-    return run_convergence(args.config)
+    try:
+        if args.command == "simulate":
+            return run_simulate(args.config, args.outdir)
+        if args.command == "verify":
+            return run_verify(seed=args.seed, sizes=tuple(args.sizes))
+        return run_convergence(args.config)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from latspin import cli, dynamics, lagrangian
 from latspin.lattice import AlgebraField, Grid, snapshot
-from latspin.lie import LogBranchError, so3
+from latspin.lie import LogBranchError, MatrixGroup, so3
 
 from conftest import whole_trajectory
 
@@ -315,13 +316,18 @@ def test_chunked_json_writer_matches_dumps(chunk):
     assert buf.getvalue() == json.dumps(doc, default=np.ndarray.tolist)
 
 
+# A finite but blowing-up state that overruns the reconstruction limit.
+DIVERGING_CONFIG = {
+    **REFERENCE_CONFIG,
+    "init": {"nu": {"profile": "fourier", "modes": 2, "amplitude": 0.02, "seed": 1}},
+    "gamma0": {"profile": "fourier", "modes": 2, "amplitude": 0.1, "seed": 2},
+    "time": {"dt": 1.0, "steps": 500},
+}
+
+
 def test_divergent_run_exits_3(tmp_path):
-    cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-    cfg["init"]["nu"]["amplitude"] = 0.02
-    cfg["gamma0"] = {"profile": "fourier", "modes": 2, "amplitude": 0.1, "seed": 2}
-    cfg["time"] = {"dt": 1.0, "steps": 500}
     outdir = str(tmp_path / "out")
-    proc = run_cli(["simulate", write_config(tmp_path, cfg), outdir])
+    proc = run_cli(["simulate", write_config(tmp_path, DIVERGING_CONFIG), outdir])
     assert proc.returncode == 3
     report = json.load(open(os.path.join(outdir, "report.json")))
     assert report["status"] == "diverged"
@@ -331,6 +337,17 @@ def test_divergent_run_exits_3(tmp_path):
     assert report["failed_field"] == "chi"
     assert proc.stderr.splitlines() == [
         f"error: step_too_large in chi at step {report['failed_step']}"]
+
+
+def test_a_diverged_run_that_cannot_write_its_series_prints_one_line(tmp_path):
+    # the write failure is the one error reported, with its exit code
+    outdir = tmp_path / "out"
+    (outdir / "series.csv").mkdir(parents=True)
+    proc = run_cli(["simulate", write_config(tmp_path, DIVERGING_CONFIG), str(outdir)])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output directory: cannot write"), lines
+    assert "series.csv" in lines[0]
 
 
 def test_overflow_inside_an_rk4_stage_exits_3(tmp_path):
@@ -609,6 +626,31 @@ def test_verify_mutation_hook_fails_fd_match(monkeypatch):
     names = {name: ok for name, ok, _, _ in lines}
     assert not names["lagrangian.fd_match_gamma.1d"]
     assert names["lagrangian.fd_match_nu.1d"]
+
+
+def test_verify_fails_a_nan_measurement(monkeypatch):
+    # a NaN in any running maximum must fail its line, not read as 0
+    real_bracket, real_log = MatrixGroup.bracket_arr, MatrixGroup.log_arr
+
+    def bracket(self, x, y):
+        return np.full(3, np.nan) if np.shape(x) == (3,) else real_bracket(self, x, y)
+
+    def log(self, g):
+        return np.full(3, np.nan) if np.shape(g) == (3, 3) else real_log(self, g)
+
+    monkeypatch.setattr(MatrixGroup, "bracket_arr", bracket)
+    monkeypatch.setattr(MatrixGroup, "log_arr", log)
+    monkeypatch.setattr(lagrangian, "instantaneous_L", lambda *args: float("nan"))
+    all_ok, lines = cli.verify_suite(seed=0, sizes=(4, 4))
+    bounds = {name: (ok, bound) for name, ok, bound, _ in lines}
+    poisoned = ["lie.jacobi", "lie.ad_invariance", "lie.ad_star_duality",
+                "lie.exp_log_roundtrip"] + [
+        f"lagrangian.{check}.{tag}" for check in ("gauge_invariance", "reduction_identity")
+        for tag in ("1d", "2d")]
+    for name in poisoned:
+        ok, bound = bounds[name]
+        assert not ok and math.isnan(bound), (name, bound)
+    assert all_ok is False
 
 
 def test_verify_cli_exit_codes():
