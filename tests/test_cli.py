@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -653,6 +654,47 @@ def test_verify_fails_a_nan_measurement(monkeypatch):
     assert all_ok is False
 
 
+# verify's lines in print order; only the order is pinned, since the measured
+# values depend on the OpenBLAS kernel.
+VERIFY_LINES = ["lie.jacobi", "lie.ad_invariance", "lie.ad_star_duality",
+                "lie.exp_log_roundtrip"] + [
+    name + tag for tag in (".1d", ".2d") for name in (
+        "lattice.sbp", "fields.cov_adjointness", "lagrangian.gauge_invariance",
+        "lagrangian.reduction_identity", "lagrangian.fd_match_nu",
+        "lagrangian.fd_match_gamma", "dynamics.abar_independence")]
+
+
+def test_verify_prints_its_lines_in_table_order():
+    _, lines = cli.verify_suite(seed=0, sizes=(4, 4))
+    assert [name for name, _, _, _ in lines] == VERIFY_LINES
+    assert [name for _, rows in cli.verify_table() for name in rows] == VERIFY_LINES
+
+
+@pytest.mark.parametrize("target", VERIFY_LINES)
+def test_a_nan_measurement_fails_exactly_its_line(monkeypatch, target):
+    real_table = cli.verify_table
+
+    def poisoned(measure, col):
+        for values in measure():
+            values = list(values)
+            values[col] = math.nan
+            yield values
+
+    def table(seed, sizes):
+        return [(functools.partial(poisoned, measure, list(rows).index(target))
+                 if target in rows else measure, rows)
+                for measure, rows in real_table(seed, sizes)]
+
+    monkeypatch.setattr(cli, "verify_table", table)
+    _, lines = cli.verify_suite(seed=0, sizes=(4, 4))
+    for name, ok, bound, _ in lines:
+        if name == target:
+            assert not ok and math.isnan(bound), (name, bound)
+        else:
+            assert not math.isnan(bound), (name, bound)
+            assert ok or "gauge_invariance" in name, (name, bound)
+
+
 def test_verify_cli_exit_codes():
     proc = run_cli(["verify", "--seed", "1", "--sizes", "8", "4"])
     assert proc.returncode == 1
@@ -671,6 +713,27 @@ def test_verify_bad_arguments_exit_2_naming_the_flag(args, flag):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and flag in lines[0], proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--seed", "x"],
+    ["verify", "--sizes", "4"],
+    [],
+    ["bogus"],
+    ["verify", "--flip-gamma-sign"],
+], ids=["seed-x", "one-size", "no-command", "unknown-command", "unknown-flag"])
+def test_argument_errors_print_one_error_line(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "usage:" not in proc.stderr and proc.stdout == ""
+
+
+def test_help_prints_usage_and_exits_0():
+    proc = run_cli(["verify", "--help"])
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: latspin verify")
+    assert proc.stderr == ""
 
 
 # -- convergence -----------------------------------------------------------------
