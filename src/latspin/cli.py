@@ -24,6 +24,7 @@ from .lattice import (
     MIN_SITES_PER_AXIS,
     AlgebraField,
     ConnectionForm,
+    DualField,
     DualVectorField,
     Grid,
     NonFiniteError,
@@ -210,7 +211,7 @@ def _profile_field(grid, group, key, cfg, make):
 
     Otherwise the ConfigError names the key at fault: the amplitude when the
     same profile is finite at unit amplitude, else the grid spacing, whose
-    coordinates then overflow.
+    coordinates or difference quotients (of order 1/h) then overflow.
     """
     def finite(profile_cfg):
         try:
@@ -231,8 +232,13 @@ def _profile_field(grid, group, key, cfg, make):
     if unit_ok:
         raise ConfigError(f"{key}.amplitude", "the profile overflows (non-finite "
                           "values or norm)")
-    raise ConfigError("grid.spacing", f"the {key} profile overflows at unit "
-                      "amplitude: the axis coordinates N*h are too large")
+    # the largest phase numerator 2 pi k x has k = modes and x = (N - 1) h
+    coords_ok = all(math.isfinite(n * h)
+                    and math.isfinite(2.0 * math.pi * cfg["modes"] * (h * (n - 1)))
+                    for n, h in zip(grid.sizes, grid.spacing))
+    cause = ("the max norm of Lambda^-1 D Lambda, of order 1/h, is not finite" if coords_ok
+             else "the axis coordinates N*h are too large")
+    raise ConfigError("grid.spacing", f"the {key} profile overflows at unit amplitude: {cause}")
 
 
 def _make_nu(grid, group, cfg):
@@ -407,13 +413,15 @@ def _lie_draws(group, seed):
 def _adjoint_pairs(spec, group, grid, modes, seed):
     """Summation-by-parts defects of div_dual and d_alg, and of cov_div and cov_diff."""
     for k in range(50):
-        gam = dynamics.fourier_connection(grid, group, modes, 0.8, seed + 100 + k)
+        gam = dynamics.fourier_connection(grid, group, modes, 0.8, seed + 100 + k).comps
         w = DualVectorField(grid, group, dynamics.fourier_connection(
             grid, group, modes, 0.7, seed + 200 + k).comps)
         zeta = dynamics.fourier_algebra_field(grid, group, modes, 0.9, seed + 300 + k)
-        flat = l2_pair(div_dual(w), zeta), l2_pair(w, d_alg(zeta))
-        covariant = l2_pair(cov_div(gam, w), zeta), l2_pair(w, cov_diff(gam, zeta))
-        yield tuple(abs(a + b) / max(abs(a), abs(b), 1.0) for a, b in (flat, covariant))
+        rhos = div_dual(w.comps, grid.spacing), cov_div(grid, group, gam, w.comps)
+        forms = d_alg(zeta.values, grid.spacing), cov_diff(grid, group, gam, zeta.values)
+        pairs = ((l2_pair(DualField(grid, group, r), zeta),
+                  l2_pair(w, ConnectionForm(grid, group, f))) for r, f in zip(rhos, forms))
+        yield tuple(abs(a + b) / max(abs(a), abs(b), 1.0) for a, b in pairs)
 
 
 def _gauge_moves(spec, group, grid, modes, seed):

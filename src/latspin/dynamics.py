@@ -32,8 +32,8 @@ from .fields import (
     ReducedState,
     StepTooLargeError,
     advect_exact,
-    cov_diff_array,
-    cov_div_array,
+    cov_diff,
+    cov_div,
     curvature,
     gauge_act,
     reconstruct_step,
@@ -46,7 +46,7 @@ from .lattice import (
     GroupField,
     NonFiniteError,
     _check_same_grid,
-    div_array,
+    div_dual,
     l2_pair,
     max_row_norm,
 )
@@ -210,13 +210,13 @@ def aep_rhs(spec: DensitySpec, grid: Grid, group: MatrixGroup, nu, gamma):
     gamma_dot comes first, so the temporaries of cov_diff are freed before
     delta l/delta gamma exists. Both returned arrays are fresh.
     """
-    gamma_dot = cov_diff_array(grid, group, gamma, nu)
+    gamma_dot = cov_diff(grid, group, gamma, nu)
     np.negative(gamma_dot, out=gamma_dot)
     w = spec.d_sigma2(gamma)
     if spec.isotropic:
-        rho = div_array(w, grid.spacing)
+        rho = div_dual(w, grid.spacing)
     else:
-        rho = cov_div_array(grid, group, gamma, w)
+        rho = cov_div(grid, group, gamma, w)
         rho -= group.ad_star_arr(nu, spec.d_sigma1(nu))
     nu_dot = spec.kinetic_inverse(rho)
     return nu_dot, gamma_dot
@@ -393,9 +393,9 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     m_now, w_now = spec.d_sigma1(sigma1), spec.d_sigma2(sigma2)
     res = _time_difference(traj, n, lambda k: spec.d_sigma1(traj.states[k].nu.values))
     if abar is None:
-        res += div_array(w_now, traj.grid.spacing)
+        res += div_dual(w_now, traj.grid.spacing)
     else:
-        res += cov_div_array(traj.grid, group, abar, w_now)
+        res += cov_div(traj.grid, group, abar, w_now)
         sigma2 += abar
     res += np.sum(group.ad_star_arr(sigma2, w_now), axis=0)
     res += group.ad_star_arr(sigma1, m_now)
@@ -477,7 +477,7 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     """
     _check_step(traj, n)
     s = traj.states[n]
-    adv = cov_diff_array(traj.grid, traj.group, s.gamma.comps, s.nu.values)
+    adv = cov_diff(traj.grid, traj.group, s.gamma.comps, s.nu.values)
     adv += _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
     advection = max_row_norm(adv)
     del adv

@@ -16,13 +16,11 @@ import numpy as np
 from .lattice import (
     AlgebraField,
     ConnectionForm,
-    DualField,
-    DualVectorField,
     GroupField,
     _check_same_grid,
     cdiff_array,
-    d_array,
-    div_array,
+    d_alg,
+    div_dual,
     max_row_norm,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "gauge_act",
     "cov_diff",
     "cov_div",
-    "cov_diff_array",
-    "cov_div_array",
     "curvature",
     "advect_exact",
     "reconstruct_step",
@@ -89,35 +85,23 @@ def _gauge_act_axis(lam, inv, gamma_i, i) -> np.ndarray:
     return group.to_coeffs(conj)
 
 
-def cov_diff_array(grid, group, gamma, zeta) -> np.ndarray:
-    """cov_diff on coefficient arrays: gamma (dim, sites..., d), zeta (sites..., d)."""
-    out = d_array(zeta, grid.spacing)
+def cov_diff(grid, group, gamma, zeta) -> np.ndarray:
+    """Covariant differential d zeta + [gamma_i, zeta] per axis, of coefficient
+    arrays gamma (dim, sites..., d) and zeta (sites..., d)."""
+    out = d_alg(zeta, grid.spacing)
     out += group.bracket_arr(gamma, zeta[None])
     return out
 
 
-def cov_div_array(grid, group, gamma, w) -> np.ndarray:
-    """cov_div on coefficient arrays: gamma and w (dim, sites..., d)."""
-    out = div_array(w, grid.spacing)
-    out -= np.sum(group.ad_star_arr(gamma, w), axis=0)
-    return out
-
-
-def cov_diff(gamma: ConnectionForm, zeta: AlgebraField) -> ConnectionForm:
-    """Covariant differential d zeta + [gamma_i, zeta] per axis."""
-    _check_same_grid(gamma, zeta)
-    comps = cov_diff_array(gamma.grid, gamma.group, gamma.comps, zeta.values)
-    return ConnectionForm(gamma.grid, gamma.group, comps)
-
-
-def cov_div(gamma: ConnectionForm, w: DualVectorField) -> DualField:
-    """Covariant divergence div w - sum_i ad*_{gamma_i} w_i.
+def cov_div(grid, group, gamma, w) -> np.ndarray:
+    """Covariant divergence div w - sum_i ad*_{gamma_i} w_i, of coefficient
+    arrays gamma and w (dim, sites..., d).
 
     Exactly the negative L2 adjoint of cov_diff for the same gamma.
     """
-    _check_same_grid(gamma, w)
-    values = cov_div_array(gamma.grid, gamma.group, gamma.comps, w.comps)
-    return DualField(gamma.grid, gamma.group, values)
+    out = div_dual(w, grid.spacing)
+    out -= np.sum(group.ad_star_arr(gamma, w), axis=0)
+    return out
 
 
 def curvature(gamma: ConnectionForm) -> np.ndarray:

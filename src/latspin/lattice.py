@@ -30,8 +30,6 @@ __all__ = [
     "DualVectorField",
     "max_row_norm",
     "cdiff_array",
-    "d_array",
-    "div_array",
     "d_alg",
     "div_dual",
     "integrate",
@@ -251,7 +249,7 @@ def cdiff_array(arr, axis: int, h: float, out=None) -> np.ndarray:
     pairs (1, 0) and (n-1, n-2).
 
     The result goes into out when given (a C-contiguous float array of arr's
-    shape, such as one axis slice of d_array's result), else into a fresh
+    shape, such as one axis slice of d_alg's result), else into a fresh
     array.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
@@ -268,17 +266,19 @@ def cdiff_array(arr, axis: int, h: float, out=None) -> np.ndarray:
     return out
 
 
-def d_array(values, spacing) -> np.ndarray:
-    """Exterior derivative of coefficients (sites..., d): one cdiff per axis,
-    each written into its slice of the (dim, sites..., d) result."""
+def d_alg(values, spacing) -> np.ndarray:
+    """Plain exterior derivative of algebra coefficients (sites..., d): one
+    cdiff per axis, each written into its slice of the (dim, sites..., d)
+    result."""
     out = np.empty((len(spacing),) + values.shape)
     for i, h in enumerate(spacing):
         cdiff_array(values, i, h, out=out[i])
     return out
 
 
-def div_array(comps, spacing) -> np.ndarray:
-    """Divergence of per-axis coefficients (dim, sites..., d): sum of cdiffs.
+def div_dual(comps, spacing) -> np.ndarray:
+    """Plain divergence of per-axis dual coefficients (dim, sites..., d): the
+    sum of the cdiffs.
 
     The sum starts from +0.0, (0 + D_0 w_0) + D_1 w_1, which turns a -0.0 of
     the first term into +0.0; it is formed in the first term's buffer.
@@ -288,16 +288,6 @@ def div_array(comps, spacing) -> np.ndarray:
     for i in range(1, len(spacing)):
         out += cdiff_array(comps[i], i, spacing[i])
     return out
-
-
-def d_alg(zeta: AlgebraField) -> ConnectionForm:
-    """Plain exterior derivative of an algebra-valued function."""
-    return ConnectionForm(zeta.grid, zeta.group, d_array(zeta.values, zeta.grid.spacing))
-
-
-def div_dual(w: DualVectorField) -> DualField:
-    """Plain divergence of a dual-valued vector field."""
-    return DualField(w.grid, w.group, div_array(w.comps, w.grid.spacing))
 
 
 def integrate(grid: Grid, site_values) -> float:

@@ -247,6 +247,24 @@ def test_readme_schema_table_lists_every_schema_key():
     assert keys == list(cli.SCHEMA)
 
 
+@pytest.mark.parametrize("spacing,gamma0,cause", [
+    # N*h = 8e-306 is finite: the max norm of Lambda^-1 D Lambda, of order
+    # 1/h, is what overflows
+    ([1e-306], {"profile": "pure_gauge", "modes": 1, "amplitude": 0.3, "seed": 3},
+     "the max norm of Lambda^-1 D Lambda, of order 1/h, is not finite"),
+    ([1e308], {"profile": "fourier", "modes": 1, "amplitude": 0.3, "seed": 3},
+     "the axis coordinates N*h are too large"),
+], ids=["difference-quotient", "coordinates"])
+def test_spacing_overflow_names_the_cause_that_held(tmp_path, spacing, gamma0, cause):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg["grid"]["spacing"] = spacing
+    cfg["gamma0"] = gamma0
+    proc = run_cli(["simulate", write_config(tmp_path, cfg), str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: config key 'grid.spacing': the gamma0 profile "
+                           f"overflows at unit amplitude: {cause}\n")
+
+
 @pytest.mark.parametrize("error", [ValueError("bad shape"), LogBranchError("at the cut locus")],
                          ids=["value-error", "log-branch"])
 def test_profile_errors_other_than_modes_name_the_profile_key(error):

@@ -40,6 +40,7 @@ from latspin.lattice import (
     GroupField,
     NonFiniteError,
     d_alg,
+    div_dual,
     integrate,
     max_row_norm,
 )
@@ -178,7 +179,7 @@ def test_rhs_zero_connection(spec, g, grid32):
     s = ReducedState(nu, ConnectionForm.zeros(grid32, g), 0.0)
     nu_dot, gamma_dot = aep_rhs(spec, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(nu_dot)) <= 1e-13
-    assert np.allclose(gamma_dot, -d_alg(nu).comps, atol=1e-14)
+    assert np.allclose(gamma_dot, -d_alg(nu.values, grid32.spacing), atol=1e-14)
 
 
 def test_rhs_zero_velocity(spec, g, grid32):
@@ -187,9 +188,7 @@ def test_rhs_zero_velocity(spec, g, grid32):
     nu_dot, gamma_dot = aep_rhs(spec, s.grid, s.group, s.nu.values, s.gamma.comps)
     assert np.max(np.abs(gamma_dot)) == 0.0
     # for the quadratic density nu_dot = -sharp(div flat(gamma))
-    from latspin.lattice import DualVectorField, div_dual
-
-    want = -div_dual(DualVectorField(grid32, g, gamma.comps.copy())).values
+    want = -div_dual(gamma.comps, grid32.spacing)
     assert np.allclose(nu_dot, want, atol=1e-13)
 
 
@@ -205,12 +204,13 @@ def test_rhs_plane_wave_matches_linear_oracle(spec, g, grid32):
 
 
 def container_rhs(spec, s):
-    """The right-hand side written with the field containers, as the oracle."""
+    """The full right-hand side, both ad* terms formed, from the container
+    derivatives of the density: the oracle."""
     m = delta_l_delta_nu(spec, s)
-    rho = cov_div(s.gamma, delta_l_delta_gamma(spec, s))
-    rho.values -= s.group.ad_star_arr(s.nu.values, m.values)
-    nu_dot = spec.kinetic_inverse(rho.values)
-    return nu_dot, -cov_diff(s.gamma, s.nu).comps
+    rho = cov_div(s.grid, s.group, s.gamma.comps, delta_l_delta_gamma(spec, s).comps)
+    rho -= s.group.ad_star_arr(s.nu.values, m.values)
+    nu_dot = spec.kinetic_inverse(rho)
+    return nu_dot, -cov_diff(s.grid, s.group, s.gamma.comps, s.nu.values)
 
 
 @pytest.mark.parametrize("sizes", [(32,), (16, 12)])
@@ -698,15 +698,16 @@ def one_sided_reference(spec, traj, n):
     m = delta_l_delta_nu(spec, s).values
     dm = sign * (delta_l_delta_nu(spec, other).values - m) / traj.dt
     dgamma = sign * (other.gamma.comps - s.gamma.comps) / traj.dt
-    w = delta_l_delta_gamma(spec, s)
-    res = dm - cov_div(s.gamma, w).values + s.group.ad_star_arr(s.nu.values, m)
+    w = delta_l_delta_gamma(spec, s).comps
+    res = dm - cov_div(s.grid, s.group, s.gamma.comps, w) + s.group.ad_star_arr(s.nu.values, m)
     closed = advect_exact(traj.group_path[n], traj.gamma0)
 
     def max_norm(a):
         return float(np.max(np.linalg.norm(a, axis=-1)))
 
     return {
-        "advection_residual": max_norm(dgamma + cov_diff(s.gamma, s.nu).comps),
+        "advection_residual": max_norm(dgamma + cov_diff(s.grid, s.group, s.gamma.comps,
+                                                          s.nu.values)),
         "curvature_max": max_norm(curvature(s.gamma)),
         "covariant_residual": max_norm(res),
         "exact_advect_gap": max_norm(s.gamma.comps - closed.comps),

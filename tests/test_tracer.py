@@ -88,6 +88,12 @@ def test_every_span_resolves_and_uninstall_restores(tmp_path):
     assert counts["lagrangian.reduced_l.calls"] == 6
     assert counts["lagrangian.delta_l_delta_nu.calls"] == 3
     assert counts["lagrangian.delta_l_delta_gamma.calls"] == 0
+    # the runs' own operator calls: one cov_diff and one div_dual per RK4
+    # stage and per row (compatibility_monitor, covariant_residual); the
+    # isotropic spin_glass skips cov_div, and no abar is given
+    assert counts["fields.cov_diff.calls"] == 4 * steps + 3
+    assert counts["lattice.div_dual.calls"] == 4 * steps + 3
+    assert counts["fields.cov_div.calls"] == 0
     after = bindings(tracer_module)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
