@@ -268,18 +268,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def trajectory_rows(spec, traj, steps):
-    """Monitor rows at the given steps; traj holds steps n-1..n+1 of each step n."""
-    rows = []
-    for n in steps:
-        s = traj.states[n]
-        rows.append({
-            "t": s.t,
-            "l_value": lagrangian.reduced_l(spec, s),
-            "energy": dynamics.energy(spec, s),
-            **dynamics.monitor_row(spec, traj, n),
-        })
-    return rows
+def trajectory_rows(spec, traj, states):
+    """Monitor rows of {step n: traj.state(n)}; traj holds steps n-1..n+1 of each n."""
+    return [{"t": s.t, "l_value": lagrangian.reduced_l(spec, s),
+             "energy": dynamics.energy(spec, s), **dynamics.monitor_row(spec, traj, n)}
+            for n, s in states.items()]
 
 
 def write_series(path, rows):
@@ -317,9 +310,8 @@ def _write_json(fh, obj, chunk=1024):
         fh.write(json.dumps(obj, default=np.ndarray.tolist))
 
 
-def _write_state(outdir, traj, n):
-    """state_<n>.json: the time and snapshots of nu and gamma at step n."""
-    state = traj.states[n]
+def _write_state(outdir, n, state):
+    """state_<n>.json: the time and snapshots of nu and gamma of step n."""
     snap = {"t": state.t, "nu": snapshot(state.nu), "gamma": snapshot(state.gamma)}
     with open(os.path.join(outdir, f"state_{n}.json"), "w") as fh:
         _write_json(fh, snap)
@@ -367,8 +359,9 @@ def run_simulate(config_path, outdir) -> int:
 
     def visit(traj, n):
         if n % cfg.cadence == 0 or n == cfg.steps:
-            rows.extend(trajectory_rows(cfg.spec, traj, [n]))
-            _write_state(outdir, traj, n)
+            state = traj.state(n)
+            rows.extend(trajectory_rows(cfg.spec, traj, {n: state}))
+            _write_state(outdir, n, state)
 
     report, diverged = {"config": raw, "status": "ok"}, None
     with _writing(outdir):
@@ -464,7 +457,7 @@ def _abar_gaps(spec, group, grid, modes, seed):
         if 0 < n < traj.steps:
             r0 = dynamics.covariant_residual(spec, traj, n)
             ra = dynamics.covariant_residual(spec, traj, n, abar.comps)
-            w = lagrangian.delta_l_delta_gamma(spec, traj.states[n])
+            w = lagrangian.delta_l_delta_gamma(spec, traj.state(n))
             scale = max(max_row_norm(r0), abar.max_norm() * w.max_norm(), 1.0)
             gaps.append((np.max(np.abs(ra - r0)) / scale,))
 
@@ -555,10 +548,11 @@ ORDER_KEYS = (
 def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0):
     """Run the refinement ladder; dt scales with h, T and initial data fixed.
 
-    A level of n sites runs steps * n / N0 steps (N0 = grid.sizes[0]); a count
-    that is not whole, or is below 2, is refused before any level runs, and so
-    is a level whose config fails to parse: every level is parsed first, and
-    the levels held until they run are initial fields only.
+    A level of n sites per axis runs steps * n / N0 steps (N0 = grid.sizes[0]);
+    a base grid whose axis sizes differ, a count that is not whole or is
+    below 2, and a level whose config fails to parse are refused before any
+    level runs: every level is parsed first, and the levels held until they
+    run are initial fields only.
     Returns one measurement dict per level with the interior maxima of every
     monitored residual. Each level streams: its visitor keeps the running
     maxima, so a level holds three steps at a time. A level that diverges
@@ -568,6 +562,9 @@ def ladder_measurements(raw_cfg, sizes, probes=40, probe_eps=1e-5, probe_seed=0)
     dim = base.grid.dim
     lengths = base.grid.lengths
     base_n = base.grid.sizes[0]
+    if len(set(base.grid.sizes)) > 1:
+        raise ConfigError("grid.sizes", "every ladder level has n sites per axis, so the "
+                          f"axis sizes must be equal, got {list(base.grid.sizes)}")
     level_steps = []
     for n_sites in sizes:
         steps, rest = divmod(base.steps * n_sites, base_n)

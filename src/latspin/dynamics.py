@@ -30,7 +30,6 @@ import numpy as np
 
 from .fields import (
     ReducedState,
-    StepTooLargeError,
     advect_exact,
     cov_diff,
     cov_div,
@@ -44,7 +43,6 @@ from .lattice import (
     ConnectionForm,
     Grid,
     GroupField,
-    NonFiniteError,
     _check_same_grid,
     div_dual,
     l2_pair,
@@ -71,6 +69,9 @@ __all__ = [
 ]
 
 RECONSTRUCTION_SAFETY = 0.1
+# A reconstruction substep must rotate by less than this angle, dt/2 max|nu|,
+# inside the injectivity radius of exp.
+RECONSTRUCT_ANGLE_LIMIT = np.pi / 2
 # On a lattice of at most this many sites, simulate forms the steppers of a
 # step's two reconstruction substeps in one exp_arr call, where numpy's cost
 # per call, not the arithmetic, sets the time of an exponential. On one core
@@ -264,35 +265,33 @@ def _rk4_stages(spec, grid, group, nu, gamma, dt):
     return k[0], k[1], nu_a, nu_b
 
 
-def _checked(step, field, cls, grid, group, arr):
-    """The container cls(grid, group, arr); non-finite arr diverges as field."""
-    try:
-        return cls(grid, group, arr)
-    except NonFiniteError as exc:
-        raise DivergenceError(step, "non_finite", field) from exc
-
-
 class Trajectory:
-    """The run of simulate: reduced states and reconstructed group path by step.
+    """The run of simulate: coefficient arrays by step.
 
-    states and group_path map a held step index to its value, and step k's
-    time is states[k].t, k * dt; grid, group, dt, steps and gamma0 come from
-    the configuration (step 0 holds the configuration's nu0 and gamma0
-    themselves, which nothing here writes to). It holds steps n-1..n+1 at the
-    visit of step n.
+    nu, gamma and chi map a held step index to its arrays, (sites..., d),
+    (dim, sites..., d) and the group path's matrices (sites..., n, n); step
+    k's time is k * dt. grid, group, dt, steps and gamma0 come from the
+    configuration (step 0 holds the arrays of its nu0 and gamma0 themselves,
+    which nothing here writes to). It holds steps n-1..n+1 at the visit of
+    step n.
     """
 
     def __init__(self, cfg: SimConfig):
         self.grid, self.group, self.gamma0 = cfg.grid, cfg.group, cfg.gamma0
         self.dt, self.steps = cfg.dt, cfg.steps
-        self.states, self.group_path = {}, {}
+        self.nu, self.gamma, self.chi = {}, {}, {}
 
-    def _push(self, k, state, chi):
-        self.states[k] = state
-        self.group_path[k] = chi
+    def state(self, k) -> ReducedState:
+        """The reduced state of step k, in containers around its held arrays."""
+        return ReducedState(AlgebraField(self.grid, self.group, self.nu[k]),
+                            ConnectionForm(self.grid, self.group, self.gamma[k]),
+                            k * self.dt)
+
+    def _push(self, k, nu, gamma, chi):
+        self.nu[k], self.gamma[k], self.chi[k] = nu, gamma, chi
 
     def _drop(self, k):
-        for held in (self.states, self.group_path):
+        for held in (self.nu, self.gamma, self.chi):
             held.pop(k, None)
 
 
@@ -304,38 +303,38 @@ def simulate(cfg: SimConfig, visit) -> None:
     run holds steps n-1..n+1 and its memory does not grow with steps.
 
     Raises DivergenceError (carrying the step index, cause and field) as soon
-    as the new state holds a non-finite entry (an RK4 stage that overflows
-    carries it there), or a reconstruction substep overruns its rotation
-    limit; the visits of earlier steps have been made by then.
+    as the new nu, then the new gamma, holds a non-finite entry (an RK4 stage
+    that overflows carries it there), or a reconstruction substep would
+    rotate by RECONSTRUCT_ANGLE_LIMIT or more; the visits of earlier steps
+    have been made by then.
     """
     grid, group, spec, dt = cfg.grid, cfg.group, cfg.spec, cfg.dt
+    half = 0.5 * dt
     traj = Trajectory(cfg)
-    state = ReducedState(cfg.nu0, cfg.gamma0, 0.0)
-    chi = GroupField.identity(grid, group)
-    traj._push(0, state, chi)
+    nu, gamma = cfg.nu0.values, cfg.gamma0.comps
+    chi = GroupField.identity(grid, group).values
+    traj._push(0, nu, gamma, chi)
     batched_exp = math.prod(grid.sizes) <= BATCHED_EXP_SITES
     # overflow shows as the DivergenceError, or as inf/nan monitors, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.steps):
-            nu_new, gamma_new, nu_a, nu_b = _rk4_stages(
-                spec, grid, group, state.nu.values, state.gamma.comps, dt)
-            state = ReducedState(
-                _checked(n + 1, "nu", AlgebraField, grid, group, nu_new),
-                _checked(n + 1, "gamma", ConnectionForm, grid, group, gamma_new),
-                (n + 1) * dt,
-            )
-            steppers = (None, None)
+            nu, gamma, nu_a, nu_b = _rk4_stages(spec, grid, group, nu, gamma, dt)
+            for field, arr in (("nu", nu), ("gamma", gamma)):
+                if not np.isfinite(arr).all():
+                    raise DivergenceError(n + 1, "non_finite", field)
+            # the midpoint velocities are finite, as the new state is (a
+            # non-finite one makes the new gamma non-finite via cov_diff), but
+            # a blowing-up state overruns the rotation limit
+            if half * max(max_row_norm(nu_a), max_row_norm(nu_b)) >= RECONSTRUCT_ANGLE_LIMIT:
+                raise DivergenceError(n + 1, "step_too_large", "chi")
             if batched_exp:
-                steppers = group.exp_arr((0.5 * dt) * np.array((nu_a, nu_b)))
-            try:
-                # the midpoint velocities are finite, as the new state is: a
-                # non-finite one makes the new gamma non-finite via cov_diff
-                for nu_mid, stepper in zip((nu_a, nu_b), steppers):
-                    chi = reconstruct_step(chi, nu_mid, 0.5 * dt, stepper)
-            except StepTooLargeError as exc:
-                # a blowing-up but finite state overruns the rotation limit
-                raise DivergenceError(n + 1, "step_too_large", "chi") from exc
-            traj._push(n + 1, state, chi)
+                steppers = group.exp_arr(half * np.array((nu_a, nu_b)))
+                chi = reconstruct_step(reconstruct_step(chi, steppers[0]), steppers[1])
+            else:
+                # each stepper is freed before the next is formed
+                chi = reconstruct_step(chi, group.exp_arr(half * nu_a))
+                chi = reconstruct_step(chi, group.exp_arr(half * nu_b))
+            traj._push(n + 1, nu, gamma, chi)
             visit(traj, n)
             traj._drop(n - 1)
         visit(traj, cfg.steps)
@@ -388,10 +387,9 @@ def covariant_residual(spec: DensitySpec, traj: Trajectory, n: int,
     """
     _check_step(traj, n)
     group = traj.group
-    s = traj.states[n]
-    sigma1, sigma2 = s.nu.values, -s.gamma.comps  # the covariant pair
+    sigma1, sigma2 = traj.nu[n], -traj.gamma[n]  # the covariant pair
     m_now, w_now = spec.d_sigma1(sigma1), spec.d_sigma2(sigma2)
-    res = _time_difference(traj, n, lambda k: spec.d_sigma1(traj.states[k].nu.values))
+    res = _time_difference(traj, n, lambda k: spec.d_sigma1(traj.nu[k]))
     if abar is None:
         res += div_dual(w_now, traj.grid.spacing)
     else:
@@ -447,11 +445,11 @@ def variational_residual(spec: DensitySpec, traj: Trajectory,
     d = group.algebra_dim
     worst = 0.0
     for n, site, a in _probe_table(traj.steps, grid.sizes, d, probes, seed):
-        if not all(k in traj.group_path for k in (n - 1, n, n + 1)):
+        if not all(k in traj.chi for k in (n - 1, n, n + 1)):
             continue
         coeffs = np.zeros((d,))
         coeffs[a] = 1.0
-        before, here, after = (traj.group_path[k].values for k in (n - 1, n, n + 1))
+        before, here, after = (traj.chi[k] for k in (n - 1, n, n + 1))
         action = []
         for sign in (1.0, -1.0):
             mat = here.copy()
@@ -476,18 +474,18 @@ def compatibility_monitor(traj: Trajectory, n: int) -> dict:
     the next.
     """
     _check_step(traj, n)
-    s = traj.states[n]
-    adv = cov_diff(traj.grid, traj.group, s.gamma.comps, s.nu.values)
-    adv += _time_difference(traj, n, lambda k: traj.states[k].gamma.comps)
+    grid, group, gamma = traj.grid, traj.group, traj.gamma[n]
+    adv = cov_diff(grid, group, gamma, traj.nu[n])
+    adv += _time_difference(traj, n, lambda k: traj.gamma[k])
     advection = max_row_norm(adv)
     del adv
     # closed - gamma, the negation of gamma - closed, has the same norms
-    closed = advect_exact(traj.group_path[n], traj.gamma0).comps
-    closed -= s.gamma.comps
+    closed = advect_exact(GroupField(grid, group, traj.chi[n]), traj.gamma0).comps
+    closed -= gamma
     gap = max_row_norm(closed)
     return {
         "advection_residual": advection,
-        "curvature_max": max_row_norm(curvature(s.gamma)),
+        "curvature_max": max_row_norm(curvature(ConnectionForm(grid, group, gamma))),
         "exact_advect_gap": gap,
     }
 

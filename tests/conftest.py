@@ -32,8 +32,8 @@ def whole_trajectory(cfg):
     whole = dynamics.Trajectory(cfg)
 
     def keep(traj, n):
-        whole.states.update(traj.states)
-        whole.group_path.update(traj.group_path)
+        for held in ("nu", "gamma", "chi"):
+            getattr(whole, held).update(getattr(traj, held))
 
     dynamics.simulate(cfg, keep)
     return whole

@@ -236,7 +236,7 @@ def test_criterion_5_covariant_order_and_background(g, spec, ladder_1d):
     for n in range(1, traj.steps):
         r0 = dynamics.covariant_residual(spec, traj, n)
         ra = dynamics.covariant_residual(spec, traj, n, abar.comps)
-        w = lagrangian.delta_l_delta_gamma(spec, traj.states[n])
+        w = lagrangian.delta_l_delta_gamma(spec, traj.state(n))
         scale = max(max_row_norm(r0), abar.max_norm() * w.max_norm(), 1.0)
         gap = max(gap, float(np.max(np.abs(ra - r0))) / scale)
     ok = order >= ORDER_MIN and gap <= ABAR_TOL
@@ -278,8 +278,8 @@ def test_criterion_7_energy_conservation(g, spec):
         dt=1e-3, steps=1000,
     )
     traj = whole_trajectory(cfg)
-    e0 = dynamics.energy(spec, traj.states[0])
-    drift = abs(dynamics.energy(spec, traj.states[traj.steps]) - e0) / abs(e0)
+    e0 = dynamics.energy(spec, traj.state(0))
+    drift = abs(dynamics.energy(spec, traj.state(traj.steps)) - e0) / abs(e0)
     ok = drift <= ENERGY_TOL
     report(7, "energy conservation over unit time", ok,
            f"relative drift {drift:.3e} (tol {ENERGY_TOL:.1e})")

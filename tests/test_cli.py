@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latspin import cli, dynamics, lagrangian
-from latspin.lattice import AlgebraField, Grid, snapshot
+from latspin.lattice import AlgebraField, Grid, max_row_norm, snapshot
 from latspin.lie import LogBranchError, MatrixGroup, so3
 
 from conftest import whole_trajectory
@@ -358,6 +358,26 @@ def test_divergent_run_exits_3(tmp_path):
         f"error: step_too_large in chi at step {report['failed_step']}"]
 
 
+def test_simulate_stops_a_step_too_large_for_the_reconstruction():
+    # the run's last held state is finite, and one of its step's midpoint
+    # velocities would rotate a reconstruction substep past the limit
+    cfg = cli.parse_config(DIVERGING_CONFIG)
+    last = {}
+
+    def visit(traj, n):
+        last.update(nu=traj.nu[n + 1], gamma=traj.gamma[n + 1])
+
+    with pytest.raises(dynamics.DivergenceError) as err:
+        dynamics.simulate(cfg, visit)
+    assert (err.value.step, err.value.cause, err.value.field) == (2, "step_too_large", "chi")
+    assert np.isfinite(last["nu"]).all() and np.isfinite(last["gamma"]).all()
+    nu, gamma, nu_a, nu_b = dynamics._rk4_stages(
+        cfg.spec, cfg.grid, cfg.group, last["nu"], last["gamma"], cfg.dt)
+    assert np.isfinite(nu).all() and np.isfinite(gamma).all()
+    angle = 0.5 * cfg.dt * max(max_row_norm(nu_a), max_row_norm(nu_b))
+    assert angle >= dynamics.RECONSTRUCT_ANGLE_LIMIT
+
+
 def test_a_diverged_run_that_cannot_write_its_series_prints_one_line(tmp_path):
     # the write failure is the one error reported, with its exit code
     outdir = tmp_path / "out"
@@ -549,10 +569,11 @@ def test_streamed_outputs_equal_the_collected_trajectory(tmp_path, raw):
     cfg = cli.parse_config(raw)
     traj = whole_trajectory(cfg)
     samples = sorted(set(range(0, traj.steps + 1, cfg.cadence)) | {traj.steps})
-    rows = cli.trajectory_rows(cfg.spec, traj, samples)
+    states = {n: traj.state(n) for n in samples}
+    rows = cli.trajectory_rows(cfg.spec, traj, states)
     cli.write_series(str(expected / "series.csv"), rows)
-    for n in samples:
-        cli._write_state(str(expected), traj, n)
+    for n, state in states.items():
+        cli._write_state(str(expected), n, state)
     report = {"config": raw, "status": "ok", "rows": rows}
     (expected / "report.json").write_text(json.dumps(report, indent=2))
     names = sorted(os.listdir(expected))
@@ -795,6 +816,27 @@ def test_convergence_invalid_config_names_key(tmp_path, base, ladder, key):
     assert proc.returncode == 2, proc.stderr
     assert f"config key {key!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_convergence_refuses_a_base_grid_of_unequal_axis_sizes(tmp_path, monkeypatch, capsys):
+    # every level is n x n, so a 16 x 12 base grid would never run as configured
+    cfg = {
+        "grid": {"dim": 2, "sizes": [16, 12], "spacing": [1.0 / 16, 1.0 / 12]},
+        "group": "SO3",
+        "lagrangian": "spin_glass",
+        "init": {"nu": {"profile": "fourier", "modes": 1, "amplitude": 0.1, "seed": 22}},
+        "gamma0": {"profile": "pure_gauge", "modes": 1, "amplitude": 0.1, "seed": 21},
+        "time": {"dt": 0.15 / 16, "steps": 32},
+        "ladder": {"sizes": [16, 32, 64]},
+    }
+    runs = []
+    monkeypatch.setattr(dynamics, "simulate", lambda *args: runs.append(args))
+    assert cli.main(["convergence", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config key 'grid.sizes': every ladder level has n sites per axis, "
+        "so the axis sizes must be equal, got [16, 12]"]
+    assert runs == []
+    assert not (tmp_path / "orders.json").exists()
 
 
 def test_convergence_divergent_level_exits_3(tmp_path):

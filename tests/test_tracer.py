@@ -114,3 +114,25 @@ def test_every_workload_makes_its_expected_span_calls(tmp_path, name):
     counts = tracer.report()
     for key, want in workload.expected_calls().items():
         assert counts[key] == want, key
+
+
+def test_the_step_loop_builds_no_field_container(tmp_path):
+    # rows, and their containers, come at steps 0 and steps alone, so the
+    # container count does not depend on the step count
+    tracer_module = load_tracer()
+    wraps = []
+    for steps in (3, 9):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["time"]["steps"], raw["output"]["cadence"] = steps, 100
+        config = tmp_path / f"config_{steps}.json"
+        config.write_text(json.dumps(raw))
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            assert latspin.cli.run_simulate(str(config), str(tmp_path / f"out_{steps}")) == 0
+        finally:
+            tracer.uninstall()
+        counts = tracer.report()
+        assert counts["fields.reconstruct_step.calls"] == 2 * steps
+        wraps.append(counts["lattice.field_wrap.calls"])
+    assert wraps[0] == wraps[1]
